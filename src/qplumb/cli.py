@@ -57,11 +57,15 @@ def _fmt_complex(z) -> str:
     return f"{z.real:.12g}{z.imag:+.12g}i"
 
 
-def _cyc_json(x: CycNumber, bits: int) -> dict:
+def _cyc_json(x: CycNumber, bits: int, approx53: complex | None = None) -> dict:
+    """JSON form of an exact value; ``approx53``, when given, is its 53-bit
+    embedding, reused at 53 bits instead of embedding again."""
+    if approx53 is None or bits > 53:
+        approx53 = to_complex(x, bits=max(53, bits))
     return {
         "conductor": x.ctx.conductor,
         "coeffs": [[int(c.numerator), int(c.denominator)] for c in x.coeffs],
-        "approx": _fmt_complex(to_complex(x, bits=max(53, bits))),
+        "approx": _fmt_complex(approx53),
     }
 
 
@@ -130,7 +134,11 @@ def _load_graph_arg(args) -> PlumbedGraph:
 
 def _theorem_record(ctx, graph, graph_name, x, bits, negate):
     rep = theorem_check(ctx, graph, x)
-    rhs = -rep.rhs if negate else rep.rhs
+    rhs, rhs_numeric = rep.rhs, rep.rhs_numeric
+    if negate:
+        # the embedding is odd; + 0j turns the -0.0 of a negated zero part
+        # into the 0.0 that embedding -rhs gives
+        rhs, rhs_numeric = -rhs, -rhs_numeric + 0j
     equal = rep.lhs == rhs
     return {
         "graph": graph_name,
@@ -138,8 +146,8 @@ def _theorem_record(ctx, graph, graph_name, x, bits, negate):
         "base": graph.base,
         "x": {v: x[v] for v in graph.vertices},
         "equal": equal,
-        "lhs": _cyc_json(rep.lhs, bits),
-        "rhs": _cyc_json(rhs, bits),
+        "lhs": _cyc_json(rep.lhs, bits, rep.lhs_numeric),
+        "rhs": _cyc_json(rhs, bits, rhs_numeric),
         "lhs_numeric": _fmt_complex(rep.lhs_numeric),
         "rhs_numeric": _fmt_complex((-1 if negate else 1) * rep.rhs_numeric),
     }

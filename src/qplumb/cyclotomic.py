@@ -21,6 +21,8 @@ from numbers import Rational
 
 import mpmath
 
+from .errors import PoleError
+
 try:  # gmpy2 rationals are several times faster; the stdlib is a full fallback
     from gmpy2 import mpq as _Rat
 except ImportError:  # pragma: no cover
@@ -126,10 +128,6 @@ class RootContext:
     def one(self) -> "CycNumber":
         return self.scalar(1)
 
-    @cached_property
-    def _brace_one_inv(self) -> "CycNumber":
-        return brace(self, 1).inv()
-
     def __repr__(self):
         return f"RootContext(r={self.r})"
 
@@ -205,11 +203,19 @@ class CycNumber:
             return NotImplemented
         return o - self
 
+    def scale(self, c) -> "CycNumber":
+        """Multiply by the rational c coefficient by coefficient: O(degree)."""
+        k = _coerce_rat(c)
+        if k is None:
+            raise TypeError(f"scale needs a rational factor, got {c!r}")
+        return self.ctx._make(a * k for a in self.coeffs)
+
     def __mul__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        a, b = self.coeffs, o.coeffs
+        if not isinstance(other, CycNumber):
+            return NotImplemented if _coerce_rat(other) is None else self.scale(other)
+        if other.ctx.r != self.ctx.r:
+            raise ValueError("cannot mix elements from different root contexts")
+        a, b = self.coeffs, other.coeffs
         d = self.ctx.degree
         conv = [_ZERO] * (2 * d - 1)
         for i, ai in enumerate(a):
@@ -279,13 +285,14 @@ class CycNumber:
         if exponent < 0:
             base = self.inv()
             exponent = -exponent
-        result = self.ctx.one
+        result = None
         while exponent:
             if exponent & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             exponent >>= 1
-        return result
+            if exponent:
+                base = base * base
+        return self.ctx.one if result is None else result
 
     # -- comparison ------------------------------------------------------
 
@@ -381,6 +388,15 @@ def q_pow(ctx: RootContext, z) -> CycNumber:
     return zeta_pow(ctx, int(two_z))
 
 
+def _brace_two_z(z) -> int:
+    if isinstance(z, int):
+        return 2 * z
+    two_z = Fraction(z) * 2
+    if two_z.denominator != 1:
+        raise ValueError(f"brace needs an integer or half-integer argument, got {z}")
+    return int(two_z)
+
+
 @functools.lru_cache(maxsize=None)
 def _brace_cached(ctx: RootContext, two_z: int) -> CycNumber:
     return zeta_pow(ctx, two_z) - zeta_pow(ctx, -two_z)
@@ -388,16 +404,38 @@ def _brace_cached(ctx: RootContext, two_z: int) -> CycNumber:
 
 def brace(ctx: RootContext, z) -> CycNumber:
     """{z} = q^z - q^{-z} for integer or half-integer z."""
-    two_z = Fraction(z) * 2
-    if two_z.denominator != 1:
-        raise ValueError(f"brace needs an integer or half-integer argument, got {z}")
-    return _brace_cached(ctx, int(two_z) % ctx.conductor)
+    return _brace_cached(ctx, _brace_two_z(z) % ctx.conductor)
 
 
 @functools.lru_cache(maxsize=None)
+def _brace_inv_cached(ctx: RootContext, two_z: int) -> CycNumber:
+    return _brace_cached(ctx, two_z).inv()
+
+
+def brace_inv(ctx: RootContext, z) -> CycNumber:
+    """1/{z}, from a table filled on first use.
+
+    {z + r} = -{z}, so the table is keyed by 2z mod 2r and holds at most 2r
+    entries per context; each entry costs one inversion per process.  A
+    vanishing {z} (z a multiple of r) raises :class:`PoleError`.
+    """
+    two_z = _brace_two_z(z) % ctx.conductor
+    half = 2 * ctx.r
+    if two_z % half == 0:
+        raise PoleError(f"{{{z}}} vanishes at r = {ctx.r}; it has no inverse")
+    if two_z < half:
+        return _brace_inv_cached(ctx, two_z)
+    return -_brace_inv_cached(ctx, two_z - half)
+
+
+@functools.lru_cache(maxsize=None)
+def _qint_cached(ctx: RootContext, z) -> CycNumber:
+    return brace(ctx, z) * brace_inv(ctx, 1)
+
+
 def qint(ctx: RootContext, z: int) -> CycNumber:
-    """Quantum integer [z] = {z}/{1}."""
-    return brace(ctx, z) * ctx._brace_one_inv
+    """Quantum integer [z] = {z}/{1}; cached on z mod 2r, the period of {z}."""
+    return _qint_cached(ctx, z % (2 * ctx.r))
 
 
 def to_complex(x: CycNumber, bits: int = 53) -> mpmath.mpc:

@@ -27,10 +27,11 @@ that edge, hence independent of the base vertex.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import mpmath
 
-from .cyclotomic import CycNumber, RootContext, brace, to_complex, zeta_pow
+from .cyclotomic import CycNumber, RootContext, brace, brace_inv, to_complex, zeta_pow
 from .errors import PoleError
 from .numeric import NumericContext, brace_c, is_pole, mod_dim, q_pow
 from .plumbing import ColorVector, PlumbedGraph, apply_signs, enumerate_signs
@@ -43,8 +44,12 @@ def _color_map(colors) -> dict:
     return dict(colors)
 
 
+def _is_int(n) -> bool:
+    return isinstance(n, int) and not isinstance(n, bool)
+
+
 def _check_rt_color(ctx: RootContext, n: int) -> int:
-    if not isinstance(n, int) or not 0 <= n <= ctx.r - 1:
+    if not _is_int(n) or not 0 <= n <= ctx.r - 1:
         raise ValueError(f"RT colors must be integers in 0..{ctx.r - 1}, got {n}")
     return n
 
@@ -57,7 +62,7 @@ def rt_hopf(ctx: RootContext, m: int, n: int) -> CycNumber:
     (-1)^(m+n) {(m+1)(n+1)} / {1}."""
     _check_rt_color(ctx, m)
     _check_rt_color(ctx, n)
-    val = brace(ctx, (m + 1) * (n + 1)) * ctx._brace_one_inv
+    val = brace(ctx, (m + 1) * (n + 1)) * brace_inv(ctx, 1)
     return -val if (m + n) % 2 else val
 
 
@@ -100,36 +105,91 @@ def rn_twist(ctx, color, f: int):
         return +q_pow(ctx, f * (a * a - (ctx.r - 1) ** 2) / 2)
 
 
-# -- exact RT invariant of a plumbed tree ------------------------------------
+# -- exact closed forms in normal form -----------------------------------------
+
+
+class _BraceMonomial:
+    """The value +-c * zeta^K * prod_a {a}^(e_a), kept as integers and one rational.
+
+    Factors are added with integer bookkeeping only; :meth:`value` then does
+    one ``zeta_pow``, one power per distinct brace and one rational scaling.
+    Brace arguments are normalized with {a + r} = -{a} and {r - a} = {a}, so
+    at most r/2 + 1 distinct braces remain.
+    """
+
+    __slots__ = ("ctx", "negative", "zeta_exp", "scalar", "exps")
+
+    def __init__(self, ctx: RootContext):
+        self.ctx = ctx
+        self.negative = False
+        self.zeta_exp = 0
+        self.scalar = 1
+        self.exps = {}
+
+    def flip(self, odd) -> None:
+        """Multiply by -1 when ``odd`` is odd."""
+        if odd % 2:
+            self.negative = not self.negative
+
+    def mul_brace(self, a: int, e: int) -> None:
+        """Multiply by {a}^e."""
+        r = self.ctx.r
+        a %= 2 * r
+        if a >= r:
+            a -= r
+            self.flip(e)
+        a = min(a, r - a)
+        self.exps[a] = self.exps.get(a, 0) + e
+
+    def value(self) -> CycNumber:
+        ctx = self.ctx
+        if self.exps.get(0, 0) > 0:  # {0} = 0; callers raise on negative powers first
+            return ctx.zero
+        val = zeta_pow(ctx, self.zeta_exp)
+        for a, e in self.exps.items():
+            if e > 0:
+                val = val * brace(ctx, a) ** e
+            elif e < 0:
+                val = val * brace_inv(ctx, a) ** -e
+        return val.scale(-self.scalar if self.negative else self.scalar)
 
 
 def rt_plumbed(ctx: RootContext, graph: PlumbedGraph, colors) -> CycNumber:
     """Closed-form RT invariant: the product of all framing twists, one Hopf
     value per edge, and qdim(S_n)^(1-degree) per vertex.
 
+    With qdim(S_n) = (-1)^n {n+1}/{1} and the Hopf value
+    (-1)^(m+n) {(m+1)(n+1)}/{1}, the product is +-zeta^K * prod_a {a}^(e_a).
+    The vertex and edge loop only sums K, the sign and the exponents e_a;
+    the value then costs O(r) field operations however large the tree: one
+    power per distinct brace (O(log |V|) multiplications each), with every
+    inverse brace taken from the table of :func:`brace_inv`.
+
     A vertex of degree >= 2 whose color has vanishing quantum dimension
     (n = r-1) is a pole of the formula and raises :class:`PoleError`.
     """
     n = _color_map(colors)
-    val = ctx.one
+    acc = _BraceMonomial(ctx)
     for v in graph.vertices:
         nv = _check_rt_color(ctx, n[v])
-        val = val * rt_twist(ctx, nv, graph.framing[v])
+        f = graph.framing[v]
+        acc.zeta_exp += f * (nv * nv + 2 * nv)
+        acc.flip(nv * f)
         d = graph.degree(v)
         if d != 1:
-            qd = qdim_simple(ctx, nv)
-            if d == 0:
-                val = val * qd
-            else:
-                if qd.is_zero:
-                    raise PoleError(
-                        f"vertex {v!r} has degree {d} and color {nv} with zero "
-                        "quantum dimension; the invariant has a pole there"
-                    )
-                val = val * qd.inv() ** (d - 1)
+            if d >= 2 and nv == ctx.r - 1:
+                raise PoleError(
+                    f"vertex {v!r} has degree {d} and color {nv} with zero "
+                    "quantum dimension; the invariant has a pole there"
+                )
+            acc.flip(nv * (1 - d))
+            acc.mul_brace(nv + 1, 1 - d)
+            acc.mul_brace(1, d - 1)
     for u, w in graph.edges:
-        val = val * rt_hopf(ctx, n[u], n[w])
-    return val
+        acc.flip(n[u] + n[w])
+        acc.mul_brace((n[u] + 1) * (n[w] + 1), 1)
+        acc.mul_brace(1, -1)
+    return acc.value()
 
 
 def rt_plumbed_recursive(ctx: RootContext, graph: PlumbedGraph, colors) -> CycNumber:
@@ -246,12 +306,18 @@ def rn_regularized(ctx: RootContext, graph: PlumbedGraph, colors) -> CycNumber:
         * prod_edges (-1)^(r-1) r q^(x_u x_v)
         * prod_{deg(v)>=2} ((-1)^(r-1) r {x_v})^(1-deg(v))
 
+    It is evaluated as ((-1)^(r-1) r)^p * zeta^K * prod_a {a}^(e_a): the
+    vertex and edge loop only sums p, K and the exponents e_a, and the value
+    then costs O(r) field operations: one power per distinct brace
+    (O(log |V|) multiplications each), with every inverse brace taken from
+    the table of :func:`brace_inv`.
+
     Colors divisible by r make {x_v} vanish and raise :class:`PoleError`.
     """
     x = _color_map(colors)
     r = ctx.r
     for v, xv in x.items():
-        if not isinstance(xv, int):
+        if not _is_int(xv):
             raise ValueError(f"regularized colors must be integers, got {xv!r} at {v!r}")
         if xv % r == 0:
             raise PoleError(
@@ -263,16 +329,20 @@ def rn_regularized(ctx: RootContext, graph: PlumbedGraph, colors) -> CycNumber:
                 f"color {xv} at vertex {v!r} lies outside the canonical window "
                 f"+-{{1..{r - 1}}}"
             )
-    sign_r = ctx.scalar((-1 if (r - 1) % 2 else 1) * r)
-    val = ctx.one
+    sign_r_exp = len(graph.edges)
+    acc = _BraceMonomial(ctx)
     for v in graph.vertices:
-        val = val * rn_twist(ctx, x[v], graph.framing[v])
+        xv = x[v]
+        acc.zeta_exp += graph.framing[v] * (xv * xv - (r - 1) ** 2)
         d = graph.degree(v)
         if d >= 2:
-            val = val * (sign_r * brace(ctx, x[v])).inv() ** (d - 1)
+            sign_r_exp -= d - 1
+            acc.mul_brace(xv, 1 - d)
     for u, w in graph.edges:
-        val = val * sign_r * zeta_pow(ctx, 2 * x[u] * x[w])
-    return val
+        acc.zeta_exp += 2 * x[u] * x[w]
+    acc.scalar = Fraction(r) ** sign_r_exp
+    acc.flip((r - 1) * sign_r_exp)
+    return acc.value()
 
 
 # -- the main identity ---------------------------------------------------------
@@ -284,8 +354,11 @@ def theorem_prefactor(ctx: RootContext, graph: PlumbedGraph, colors) -> CycNumbe
     exponent = len(graph.edges)
     for v in graph.vertices_of_degree_at_least(2):
         exponent += (graph.degree(v) - 1) * x[v]
-    val = (ctx.scalar(ctx.r) * brace(ctx, 1)).inv()
-    return -val if exponent % 2 else val
+    acc = _BraceMonomial(ctx)
+    acc.scalar = Fraction(1, ctx.r)
+    acc.flip(exponent)
+    acc.mul_brace(1, -1)
+    return acc.value()
 
 
 def _term_weight(graph: PlumbedGraph, eps) -> int:
@@ -309,7 +382,7 @@ def theorem_rhs(ctx: RootContext, graph: PlumbedGraph, colors) -> CycNumber:
     """
     x = _color_map(colors)
     for v, xv in x.items():
-        if not isinstance(xv, int) or not 1 <= xv <= ctx.r - 1:
+        if not _is_int(xv) or not 1 <= xv <= ctx.r - 1:
             raise ValueError(
                 f"identity colors must be integers in 1..{ctx.r - 1}, got {xv!r} at {v!r}"
             )

@@ -25,8 +25,8 @@ class NumericContext:
     tolerance: float | None = None
 
     def __post_init__(self):
-        if self.r < 2:
-            raise ValueError(f"r must be at least 2, got {self.r}")
+        if isinstance(self.r, bool) or not isinstance(self.r, int) or self.r < 2:
+            raise ValueError(f"r must be an integer >= 2, got {self.r!r}")
         if self.precision_bits < 53:
             raise ValueError("precision_bits must be at least 53")
         if self.tolerance is None:

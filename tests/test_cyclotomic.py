@@ -28,6 +28,7 @@ from qplumb.cyclotomic import (
     to_complex,
     zeta_pow,
 )
+from qplumb.cyclotomic import _qint_cached
 
 
 def oracle_cyclotomic(n):
@@ -192,6 +193,14 @@ class TestBraceAndQint:
         # [2] = q + 1/q = 2 cos(pi/3) = 1 exactly
         ctx = make_context(3)
         assert qint(ctx, 2) == ctx.one
+
+    def test_qint_cache_holds_one_period(self):
+        ctx = make_context(3)
+        inv_one = brace(ctx, 1).inv()
+        _qint_cached.cache_clear()
+        for z in range(-2500, 2500):
+            assert qint(ctx, z) == brace(ctx, z) * inv_one
+        assert _qint_cached.cache_info().currsize <= 2 * ctx.r
 
     def test_brace_matches_cmath(self):
         for r in (2, 3, 5):

@@ -2,12 +2,15 @@
 (independent of the mpmath/cyclotomic code paths under test)."""
 
 import cmath
+import itertools
 import math
+import pathlib
 import random
+from fractions import Fraction
 
 import pytest
 
-from qplumb.cyclotomic import brace, make_context, to_complex, zeta_pow
+from qplumb.cyclotomic import brace, brace_inv, make_context, to_complex, zeta_pow
 from qplumb.errors import PoleError
 from qplumb.invariants import (
     InvariantResult,
@@ -29,7 +32,7 @@ from qplumb.invariants import (
     theorem_rhs,
 )
 from qplumb.numeric import NumericContext
-from qplumb.plumbing import ColorVector, PlumbedGraph, apply_signs, enumerate_signs
+from qplumb.plumbing import ColorVector, PlumbedGraph, apply_signs, enumerate_signs, load_graph
 
 from conftest import (
     catalog_trees,
@@ -450,3 +453,175 @@ class TestInvariantResult:
             InvariantResult(1, "symbolic", "closed-form")
         with pytest.raises(ValueError):
             InvariantResult(1, "exact", "guess")
+
+
+# -- factor-by-factor oracles for the normal-form evaluators --------------------
+#
+# rt_plumbed, rn_regularized and theorem_prefactor sum exponents and evaluate
+# +-c * zeta^K * prod {a}^e once.  These oracles multiply the factors out one
+# by one, as the formulas are written, with a fresh Euclidean inverse for
+# every denominator and no brace-inverse table or rational scaling.
+
+GRAPHS = pathlib.Path(__file__).resolve().parent.parent / "graphs"
+
+
+def _oracle_pow(x, k):
+    val = x.ctx.one
+    for _ in range(k):
+        val = val * x
+    return val
+
+
+def oracle_rt_plumbed(ctx, graph, n):
+    inv_brace_one = brace(ctx, 1).inv()
+    val = ctx.one
+    for v in graph.vertices:
+        nv = n[v]
+        val = val * rt_twist(ctx, nv, graph.framing[v])
+        d = graph.degree(v)
+        if d != 1:
+            qd = brace(ctx, nv + 1) * inv_brace_one
+            qd = -qd if nv % 2 else qd
+            if d == 0:
+                val = val * qd
+            else:
+                if qd.is_zero:
+                    raise PoleError(f"vertex {v!r}")
+                val = val * _oracle_pow(qd.inv(), d - 1)
+    for u, w in graph.edges:
+        m, k = n[u], n[w]
+        hopf = brace(ctx, (m + 1) * (k + 1)) * brace(ctx, 1).inv()
+        val = val * (-hopf if (m + k) % 2 else hopf)
+    return val
+
+
+def oracle_rn_regularized(ctx, graph, x):
+    r = ctx.r
+    sign_r = ctx.scalar((-1 if (r - 1) % 2 else 1) * r)
+    val = ctx.one
+    for v in graph.vertices:
+        val = val * zeta_pow(ctx, graph.framing[v] * (x[v] * x[v] - (r - 1) ** 2))
+        d = graph.degree(v)
+        if d >= 2:
+            if x[v] % r == 0:
+                raise PoleError(f"vertex {v!r}")
+            val = val * _oracle_pow((sign_r * brace(ctx, x[v])).inv(), d - 1)
+    for u, w in graph.edges:
+        val = val * sign_r * zeta_pow(ctx, 2 * x[u] * x[w])
+    return val
+
+
+def oracle_theorem_prefactor(ctx, graph, x):
+    exponent = len(graph.edges)
+    for v in graph.vertices_of_degree_at_least(2):
+        exponent += (graph.degree(v) - 1) * x[v]
+    val = (ctx.scalar(ctx.r) * brace(ctx, 1)).inv()
+    return -val if exponent % 2 else val
+
+
+def _assert_matches_oracles(ctx, graph, rng):
+    r = ctx.r
+    n = {v: rng.randint(0, r - 1) for v in graph.vertices}
+    try:
+        expect = oracle_rt_plumbed(ctx, graph, n)
+    except PoleError:
+        with pytest.raises(PoleError):
+            rt_plumbed(ctx, graph, n)
+    else:
+        assert rt_plumbed(ctx, graph, n) == expect
+    x = {v: rng.choice((-1, 1)) * rng.randint(1, r - 1) for v in graph.vertices}
+    assert rn_regularized(ctx, graph, x) == oracle_rn_regularized(ctx, graph, x)
+    xp = {v: rng.randint(1, r - 1) for v in graph.vertices}
+    assert theorem_prefactor(ctx, graph, xp) == oracle_theorem_prefactor(ctx, graph, xp)
+
+
+class TestNormalFormOracles:
+    @pytest.mark.parametrize("name", ["hopf", "path3", "star3", "caterpillar6"])
+    def test_bundled_graphs(self, name):
+        graph = load_graph(str(GRAPHS / f"{name}.json"))
+        rng = random.Random(name)
+        for r in range(2, 8):
+            ctx = make_context(r)
+            for _ in range(15):
+                _assert_matches_oracles(ctx, graph, rng)
+            # every RT color vector, poles included, where the grid is small
+            if r ** len(graph.vertices) <= 256:
+                for combo in itertools.product(range(r), repeat=len(graph.vertices)):
+                    n = dict(zip(graph.vertices, combo))
+                    try:
+                        expect = oracle_rt_plumbed(ctx, graph, n)
+                    except PoleError:
+                        with pytest.raises(PoleError):
+                            rt_plumbed(ctx, graph, n)
+                    else:
+                        assert rt_plumbed(ctx, graph, n) == expect
+
+    def test_random_trees(self):
+        rng = random.Random(20240903)
+        for i in range(242):
+            r = 2 + i % 11
+            graph = random_tree(rng, rng.randint(1, 8), framing_span=3)
+            _assert_matches_oracles(make_context(r), graph, rng)
+
+    def test_degree_zero_graph(self):
+        rng = random.Random(5)
+        for r in range(2, 13):
+            ctx = make_context(r)
+            for f in range(-3, 4):
+                graph = PlumbedGraph.build({"u": f}, [])
+                for n in range(r):
+                    assert rt_plumbed(ctx, graph, {"u": n}) == oracle_rt_plumbed(ctx, graph, {"u": n})
+                _assert_matches_oracles(ctx, graph, rng)
+
+    def test_brace_inverse_table(self):
+        for r in range(2, 21):
+            ctx = make_context(r)
+            for two_z in range(1, 4 * r):
+                if two_z % (2 * r) == 0:
+                    continue
+                z = Fraction(two_z, 2)
+                assert brace(ctx, z) * brace_inv(ctx, z) == ctx.one
+
+    def test_zero_brace_has_no_inverse(self):
+        for r in (2, 3, 7):
+            ctx = make_context(r)
+            for z in (0, r, -r, 2 * r, 3 * r):
+                with pytest.raises(PoleError):
+                    brace_inv(ctx, z)
+
+    def test_rt_pole_names_vertex(self):
+        ctx = make_context(5)
+        g = star_graph(3)
+        n = {v: 1 for v in g.vertices}
+        n["c"] = 4
+        with pytest.raises(PoleError, match="'c'"):
+            rt_plumbed(ctx, g, n)
+        with pytest.raises(PoleError):
+            oracle_rt_plumbed(ctx, g, n)
+
+    def test_regularized_pole_names_vertex(self):
+        ctx = make_context(4)
+        g = path_graph(3)
+        for bad in (4, -4, 0):
+            x = {"p0": 1, "p1": bad, "p2": -3}
+            with pytest.raises(PoleError, match="'p1'"):
+                rn_regularized(ctx, g, x)
+            with pytest.raises(PoleError):
+                oracle_rn_regularized(ctx, g, x)
+
+
+class TestBoolColorsRejected:
+    def test_rt_color(self):
+        ctx = make_context(3)
+        with pytest.raises(ValueError):
+            rt_plumbed(ctx, hopf_graph(), {"v1": True, "v2": 1})
+
+    def test_regularized_color(self):
+        ctx = make_context(3)
+        with pytest.raises(ValueError):
+            rn_regularized(ctx, hopf_graph(), {"v1": True, "v2": 1})
+
+    def test_identity_color(self):
+        ctx = make_context(3)
+        with pytest.raises(ValueError):
+            theorem_rhs(ctx, hopf_graph(), {"v1": 1, "v2": True})

@@ -42,6 +42,14 @@ class TestContext:
         with pytest.raises(ValueError):
             NumericContext(3, tolerance=-1.0)
 
+    def test_rejects_non_integer_r(self):
+        with pytest.raises(ValueError):
+            NumericContext(2.5)
+
+    def test_rejects_bool_r(self):
+        with pytest.raises(ValueError):
+            NumericContext(True)
+
 
 class TestQPow:
     def test_zero(self):
