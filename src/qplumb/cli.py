@@ -122,8 +122,6 @@ def _apply_framings(graph: PlumbedGraph, framings: dict) -> PlumbedGraph:
 
 
 def _load_graph_arg(args) -> PlumbedGraph:
-    if not args.graph:
-        raise ValueError("--graph is required for this command")
     graph = load_graph(args.graph)
     if args.base:
         graph = graph.with_base(args.base)
@@ -132,7 +130,7 @@ def _load_graph_arg(args) -> PlumbedGraph:
     return graph
 
 
-def _theorem_record(ctx, graph, graph_name, x, bits, negate):
+def _theorem_record(ctx, graph, graph_name, x, bits, negate=False):
     rep = theorem_check(ctx, graph, x)
     rhs, rhs_numeric = rep.rhs, rep.rhs_numeric
     if negate:
@@ -159,8 +157,6 @@ def _theorem_record(ctx, graph, graph_name, x, bits, negate):
 def _run_compute_rt(args):
     graph = _load_graph_arg(args)
     ctx = make_context(args.r)
-    if not args.colors:
-        raise ValueError("--colors is required: one integer in 0..r-1 per vertex")
     colors = _parse_int_list(args.colors, graph, "color")
     value = rt_plumbed(ctx, graph, colors)
     record = {
@@ -176,9 +172,7 @@ def _run_compute_rt(args):
 
 def _run_compute_ado(args):
     graph = _load_graph_arg(args)
-    if not args.colors:
-        raise ValueError("--colors is required: one color per vertex")
-    if args.regularized or args.mode == "exact":
+    if args.regularized:
         ctx = make_context(args.r)
         colors = _parse_int_list(args.colors, graph, "color")
         value = rn_regularized(ctx, graph, colors)
@@ -248,9 +242,7 @@ def _run_sweep(args):
         for framings in framing_grid:
             g = _apply_framings(graph, framings)
             for x in _color_grid(g, r, rng):
-                records.append(
-                    _theorem_record(ctx, g, args.graph, x, args.precision, args.negate_prefactor)
-                )
+                records.append(_theorem_record(ctx, g, args.graph, x, args.precision))
     failed = any(not rec["equal"] for rec in records)
     return records, failed
 
@@ -297,7 +289,8 @@ def _run_check_relations(args):
 
 def _emit(args, records) -> str:
     if args.format == "json":
-        doc = {"command": args.command, "seed": getattr(args, "seed", None), "records": records}
+        # compute-rt and compute-ado take no --seed and report seed 0
+        doc = {"command": args.command, "seed": getattr(args, "seed", 0), "records": records}
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
     buf = io.StringIO()
     if records:
@@ -332,44 +325,53 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="qplumb", description="Quantum invariants of plumbed links")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    default_bits = int(os.environ.get("QP_PRECISION_BITS", "53"))
-
-    def common(p, r_spec=False):
-        p.add_argument("--r", required=True, help="order parameter (>= 2)" + (", list or range like 2..4" if r_spec else ""))
-        p.add_argument("--graph", help="path to a graph JSON file")
-        p.add_argument("--colors", help="comma list in vertex order, or 'all'")
-        p.add_argument("--framings", help="comma list overriding the file's framings")
-        p.add_argument("--mode", choices=("exact", "numeric"), default=None)
-        p.add_argument("--precision", type=int, default=default_bits, help="working precision bits (env QP_PRECISION_BITS)")
+    def command(name, help, r_help, graph=True, seed=True):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--r", required=True, help=r_help)
+        if graph:
+            p.add_argument("--graph", required=True, help="path to a graph JSON file")
+            p.add_argument("--base", help="override the base vertex")
+        # a string default goes through type=int, so a bad value is a usage error
+        p.add_argument(
+            "--precision",
+            type=int,
+            default=os.environ.get("QP_PRECISION_BITS", "53"),
+            help="working precision bits (env QP_PRECISION_BITS)",
+        )
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--base", help="override the base vertex")
-        p.add_argument("--seed", type=int, default=0)
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", help="write output here instead of stdout")
+        return p
 
-    p_rt = sub.add_parser("compute-rt", help="exact RT invariant")
-    common(p_rt)
+    def colors(p, help, required=True):
+        p.add_argument("--colors", required=required, help=help)
+        p.add_argument("--framings", help="comma list overriding the file's framings")
 
-    p_ado = sub.add_parser("compute-ado", help="ADO / re-normalized invariant")
-    common(p_ado)
+    one_r = "order parameter (>= 2)"
+    r_spec = one_r + ", list or range like 2..4"
+
+    p_rt = command("compute-rt", "exact RT invariant", one_r, seed=False)
+    colors(p_rt, "comma list, one integer in 0..r-1 per vertex")
+
+    p_ado = command("compute-ado", "ADO / re-normalized invariant", one_r, seed=False)
+    colors(p_ado, "comma list, one color per vertex")
     p_ado.add_argument(
         "--regularized",
         action="store_true",
         help="exact regularized value at signed integer colors",
     )
 
-    p_check = sub.add_parser("check-theorem", help="verify the main identity exactly")
-    common(p_check, r_spec=True)
+    p_check = command("check-theorem", "verify the main identity exactly", r_spec)
+    colors(p_check, "comma list in vertex order, or 'all' (the default)", required=False)
     p_check.add_argument("--negate-prefactor", action="store_true", help=argparse.SUPPRESS)
 
-    p_sweep = sub.add_parser("sweep", help="check-theorem over a parameter grid")
-    common(p_sweep, r_spec=True)
+    p_sweep = command("sweep", "check-theorem over a parameter grid", r_spec)
     p_sweep.add_argument("--framing-min", type=int, default=-2)
     p_sweep.add_argument("--framing-max", type=int, default=2)
     p_sweep.add_argument("--framing-samples", type=int, default=20)
-    p_sweep.add_argument("--negate-prefactor", action="store_true", help=argparse.SUPPRESS)
 
-    p_rel = sub.add_parser("check-relations", help="verify module-action relations")
-    common(p_rel, r_spec=True)
+    p_rel = command("check-relations", "verify module-action relations", r_spec, graph=False)
     p_rel.add_argument("--samples", type=int, default=50, help="random weights per r")
 
     return parser

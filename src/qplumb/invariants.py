@@ -33,7 +33,7 @@ import mpmath
 
 from .cyclotomic import CycNumber, RootContext, brace, brace_inv, to_complex, zeta_pow
 from .errors import PoleError
-from .numeric import NumericContext, brace_c, is_pole, mod_dim, q_pow
+from .numeric import NumericContext, brace_c, is_pole, mod_dim, q_pow, r_sign
 from .plumbing import ColorVector, PlumbedGraph, apply_signs, enumerate_signs
 from .quantumrep import qdim_simple
 
@@ -72,13 +72,12 @@ def rn_hopf(ctx, a, b):
     Exact (integer colors) when given a RootContext, complex when given a
     NumericContext; the formula is entire in the colors.
     """
+    sign = r_sign(ctx.r)
     if isinstance(ctx, RootContext):
         if not isinstance(a, int) or not isinstance(b, int):
             raise ValueError("exact Hopf values need integer colors")
-        sign = -1 if (ctx.r - 1) % 2 else 1
         return ctx.scalar(sign * ctx.r) * zeta_pow(ctx, 2 * a * b)
     with ctx.workprec():
-        sign = -1 if (ctx.r - 1) % 2 else 1
         return +(sign * ctx.r * q_pow(ctx, mpmath.mpmathify(a) * mpmath.mpmathify(b)))
 
 
@@ -242,7 +241,7 @@ def rn_plumbed_numeric(nctx: NumericContext, graph: PlumbedGraph, colors, strict
             if is_pole(nctx, a[v]):
                 raise PoleError(f"strict mode: color at vertex {v!r} is an integer")
     with nctx.workprec():
-        sign = -1 if (nctx.r - 1) % 2 else 1
+        sign = r_sign(nctx.r)
         val = mpmath.mpc(1)
         for v in graph.vertices:
             val = val * rn_twist(nctx, a[v], graph.framing[v])
@@ -367,9 +366,10 @@ def _term_weight(graph: PlumbedGraph, eps) -> int:
     degree >= 2 raised to (degree - 1).  The second factor undoes the sign
     the brace denominators acquire at the flipped limit point."""
     w = eps.sign_product
+    path_signs = eps.path_signs(graph)
     for v in graph.vertices_of_degree_at_least(2):
         if (graph.degree(v) - 1) % 2:
-            w *= eps.path_sign(graph, v)
+            w *= path_signs[v]
     return w
 
 
@@ -431,40 +431,3 @@ def theorem_check(ctx: RootContext, graph: PlumbedGraph, colors) -> TheoremRepor
         lhs_numeric=complex(to_complex(lhs)),
         rhs_numeric=complex(to_complex(rhs)),
     )
-
-
-# -- naming layer --------------------------------------------------------------
-
-
-def colored_jones(ctx: RootContext, graph: PlumbedGraph, colors) -> CycNumber:
-    """Colored Jones polynomial of the plumbed link evaluated at
-    q = exp(pi*i/r); identical to the RT value."""
-    return rt_plumbed(ctx, graph, colors)
-
-
-def ado_invariant(nctx: NumericContext, graph: PlumbedGraph, colors, strict: bool = False):
-    """ADO invariant at level r; identical to the re-normalized value."""
-    return rn_plumbed_numeric(nctx, graph, colors, strict=strict)
-
-
-def ado_regularized(ctx: RootContext, graph: PlumbedGraph, colors) -> CycNumber:
-    """Exact regularized ADO value at signed integer colors."""
-    return rn_regularized(ctx, graph, colors)
-
-
-@dataclass(frozen=True)
-class InvariantResult:
-    """Tagged invariant value for serialization at the tool boundary."""
-
-    value: object
-    mode: str  # "exact" | "numeric"
-    provenance: str  # "closed-form" | "recursive"
-    precision_bits: int | None = None
-
-    def __post_init__(self):
-        if self.mode not in ("exact", "numeric"):
-            raise ValueError(f"mode must be 'exact' or 'numeric', got {self.mode!r}")
-        if self.provenance not in ("closed-form", "recursive"):
-            raise ValueError(f"unknown provenance {self.provenance!r}")
-        if self.mode == "numeric" and self.precision_bits is None:
-            raise ValueError("numeric results must record their precision")

@@ -40,8 +40,9 @@ class NumericContext:
         return mpmath.workprec(self.precision_bits)
 
 
-def make_numeric_context(r: int, precision_bits: int = 53, tolerance: float = None) -> NumericContext:
-    return NumericContext(r, precision_bits, tolerance)
+def r_sign(r: int) -> int:
+    """The sign (-1)^(r-1) of the modified dimension and the Hopf values."""
+    return -1 if (r - 1) % 2 else 1
 
 
 def q_pow(ctx: NumericContext, z) -> mpmath.mpc:
@@ -84,8 +85,7 @@ def mod_dim(ctx: NumericContext, alpha) -> mpmath.mpc:
     if is_pole(ctx, alpha):
         raise PoleError(f"modified dimension has a pole at integer color {alpha}")
     with ctx.workprec():
-        sign = -1 if (ctx.r - 1) % 2 else 1
-        return +(sign * ctx.r * brace_c(ctx, alpha) / brace_c(ctx, ctx.r * mpmath.mpmathify(alpha)))
+        return +(r_sign(ctx.r) * ctx.r * brace_c(ctx, alpha) / brace_c(ctx, ctx.r * mpmath.mpmathify(alpha)))
 
 
 def qdim_typical_check(ctx: NumericContext, alpha) -> mpmath.mpc:

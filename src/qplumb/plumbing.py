@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterator, Mapping
@@ -68,16 +69,8 @@ class PlumbedGraph:
                 f"got {len(self.edges)}"
             )
         # |E| = |V| - 1 plus connectivity makes it a tree
-        reached = {verts[0]}
-        frontier = [verts[0]]
-        while frontier:
-            u = frontier.pop()
-            for w in self._raw_neighbors(u):
-                if w not in reached:
-                    reached.add(w)
-                    frontier.append(w)
-        if len(reached) != len(verts):
-            missing = sorted(vset - reached)
+        if len(self._parent) != len(verts):
+            missing = sorted(vset.difference(self._parent))
             raise GraphFormatError(f"not a tree: disconnected vertices {missing}")
 
     @classmethod
@@ -90,13 +83,6 @@ class PlumbedGraph:
             edges=tuple(_edge_key(u, v) for u, v in edges),
             base=base if base is not None else verts[0],
         )
-
-    def _raw_neighbors(self, v: str):
-        for a, b in self.edges:
-            if a == v:
-                yield b
-            elif b == v:
-                yield a
 
     @cached_property
     def framing(self) -> dict[str, int]:
@@ -120,14 +106,16 @@ class PlumbedGraph:
 
     @cached_property
     def _parent(self) -> dict[str, str | None]:
+        """Parent of each vertex reached by a breadth-first search from the
+        base, in the order the search reaches them."""
         parent: dict[str, str | None] = {self.base: None}
-        frontier = [self.base]
-        while frontier:
-            u = frontier.pop(0)
+        queue = deque(parent)
+        while queue:
+            u = queue.popleft()
             for w in self.neighbors[u]:
                 if w not in parent:
                     parent[w] = u
-                    frontier.append(w)
+                    queue.append(w)
         return parent
 
     def path_edges(self, v: str) -> tuple[tuple[str, str], ...]:
@@ -149,17 +137,7 @@ class PlumbedGraph:
     def edge_order(self) -> tuple[tuple[str, str], ...]:
         """Edges in breadth-first order from the base; each new edge attaches
         one fresh vertex, which is the order the recursive evaluators use."""
-        ordered = []
-        seen = {self.base}
-        frontier = [self.base]
-        while frontier:
-            u = frontier.pop(0)
-            for w in self.neighbors[u]:
-                if w not in seen:
-                    ordered.append((u, w))
-                    seen.add(w)
-                    frontier.append(w)
-        return tuple(ordered)
+        return tuple((p, v) for v, p in itertools.islice(self._parent.items(), 1, None))
 
 
 @dataclass(frozen=True)
@@ -208,6 +186,13 @@ class SignAssignment:
             out *= self.signs[e]
         return out
 
+    def path_signs(self, graph: PlumbedGraph) -> dict[str, int]:
+        """:meth:`path_sign` of every vertex, in one pass down the edge order."""
+        out = {graph.base: 1}
+        for u, w in graph.edge_order():
+            out[w] = out[u] * self[u, w]
+        return out
+
 
 def enumerate_signs(graph: PlumbedGraph) -> Iterator[SignAssignment]:
     """All 2^|E| sign assignments, in a fixed order (last edge varies fastest)."""
@@ -226,19 +211,8 @@ def apply_signs(graph: PlumbedGraph, colors: ColorVector, signs: SignAssignment)
     the signs along the path from the base vertex."""
     if colors.mode != "exact":
         raise ValueError("apply_signs acts on exact color vectors")
-    return ColorVector.exact(
-        {v: signs.path_sign(graph, v) * colors[v] for v in graph.vertices}
-    )
-
-
-def validate_signs(graph: PlumbedGraph, signs: SignAssignment) -> None:
-    keys = set(signs.signs)
-    expected = set(graph.edges)
-    if keys != expected:
-        raise ValueError(f"sign assignment edges {keys} do not match graph edges {expected}")
-    for e, s in signs.signs.items():
-        if s not in (1, -1):
-            raise ValueError(f"sign for edge {e} must be +-1, got {s}")
+    path_signs = signs.path_signs(graph)
+    return ColorVector.exact({v: path_signs[v] * colors[v] for v in graph.vertices})
 
 
 # -- file format -----------------------------------------------------------

@@ -128,6 +128,37 @@ class TestComputeCommands:
         assert code == 0
         assert json.loads(out)["records"][0]["precision_bits"] == 80
 
+    def test_precision_env_invalid_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("QP_PRECISION_BITS", "abc")
+        code, out, err = run(
+            capsys, "compute-ado", "--r", "2", "--graph", HOPF, "--colors", "0.5,0.25"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error:") and "'abc'" in err
+
+    def test_precision_flag_overrides_invalid_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("QP_PRECISION_BITS", "abc")
+        code, out, _ = run(
+            capsys, "compute-ado", "--r", "2", "--graph", HOPF, "--colors", "0.5,0.25",
+            "--precision", "64",
+        )
+        assert code == 0
+        assert json.loads(out)["records"][0]["precision_bits"] == 64
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("compute-rt", "--r", "3", "--graph", HOPF, "--colors", "1,2"),
+            ("compute-ado", "--r", "3", "--graph", PATH3, "--colors", "0.5,1.5,-0.75"),
+            ("compute-ado", "--r", "3", "--graph", PATH3, "--colors", "1,2,-1", "--regularized"),
+        ],
+    )
+    def test_seed_key_is_zero(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["seed"] == 0
+
 
 class TestSweep:
     def test_small_sweep_passes(self, capsys):
@@ -176,6 +207,28 @@ class TestErrorsAndFormats:
         code, _, err = run(capsys, "check-theorem", "--graph", HOPF)
         assert code == 1
         assert "usage" in err.lower()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check-relations", "--r", "2", "--samples", "1", "--graph", HOPF),
+            ("check-relations", "--r", "2", "--samples", "1", "--colors", "all"),
+            ("sweep", "--r", "2", "--graph", HOPF, "--colors", "1,1"),
+            ("sweep", "--r", "2", "--graph", HOPF, "--framings", "0,0"),
+            ("sweep", "--r", "2", "--graph", HOPF, "--negate-prefactor"),
+            ("compute-rt", "--r", "3", "--graph", HOPF, "--colors", "1,2", "--mode", "exact"),
+            ("compute-ado", "--r", "3", "--graph", HOPF, "--colors", "1,2", "--mode", "exact"),
+            ("compute-rt", "--r", "3", "--graph", HOPF, "--colors", "1,2", "--seed", "1"),
+            ("check-theorem", "--r", "2", "--colors", "all"),
+            ("compute-rt", "--r", "3", "--graph", HOPF),
+            ("compute-ado", "--r", "3", "--colors", "0.5,0.5"),
+        ],
+    )
+    def test_unread_or_missing_flag_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error:")
 
     def test_unknown_command_exit_1(self, capsys):
         code, _, _ = run(capsys, "frobnicate")

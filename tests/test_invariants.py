@@ -13,10 +13,6 @@ import pytest
 from qplumb.cyclotomic import brace, brace_inv, make_context, to_complex, zeta_pow
 from qplumb.errors import PoleError
 from qplumb.invariants import (
-    InvariantResult,
-    ado_invariant,
-    ado_regularized,
-    colored_jones,
     rn_hopf,
     rn_plumbed_numeric,
     rn_plumbed_recursive,
@@ -411,48 +407,6 @@ class TestTheorem:
         g = PlumbedGraph.build({"u": 0}, [])
         with pytest.raises(ValueError):
             theorem_check(ctx, g, {"u": 1})
-
-
-class TestAliases:
-    def test_colored_jones_is_rt(self):
-        ctx = make_context(3)
-        g = hopf_graph(1, 1)
-        n = {"v1": 1, "v2": 2}
-        assert colored_jones(ctx, g, n) == rt_plumbed(ctx, g, n)
-
-    def test_ado_is_rn(self):
-        nctx = NumericContext(4)
-        g = path_graph(3)
-        a = {"p0": 0.3, "p1": 0.9 + 0.1j, "p2": -1.2}
-        assert complex(ado_invariant(nctx, g, a)) == complex(rn_plumbed_numeric(nctx, g, a))
-
-    def test_ado_regularized_alias(self):
-        ctx = make_context(3)
-        g = path_graph(3)
-        x = {"p0": 1, "p1": 2, "p2": 1}
-        assert ado_regularized(ctx, g, x) == rn_regularized(ctx, g, x)
-
-    def test_identity_restated_through_aliases(self):
-        # colored Jones at colors r-1-x equals the normalized signed sum of
-        # regularized ADO values: the same identity, in the alias vocabulary
-        ctx = make_context(3)
-        g = star_graph(3)
-        x = {v: 1 for v in g.vertices}
-        cj = colored_jones(ctx, g, {v: ctx.r - 1 - x[v] for v in g.vertices})
-        assert cj == theorem_rhs(ctx, g, x)
-
-
-class TestInvariantResult:
-    def test_numeric_requires_precision(self):
-        with pytest.raises(ValueError):
-            InvariantResult(1j, "numeric", "closed-form")
-        InvariantResult(1j, "numeric", "closed-form", precision_bits=53)
-
-    def test_mode_validation(self):
-        with pytest.raises(ValueError):
-            InvariantResult(1, "symbolic", "closed-form")
-        with pytest.raises(ValueError):
-            InvariantResult(1, "exact", "guess")
 
 
 # -- factor-by-factor oracles for the normal-form evaluators --------------------

@@ -14,7 +14,6 @@ from qplumb.plumbing import (
     enumerate_signs,
     parse_graph,
     serialize_graph,
-    validate_signs,
 )
 
 from conftest import path_graph, random_tree, star_graph
@@ -191,14 +190,6 @@ class TestSigns:
         with pytest.raises(CapacityError):
             list(enumerate_signs(g))
 
-    def test_validate_signs(self):
-        g = path_graph(3)
-        validate_signs(g, SignAssignment({e: -1 for e in g.edges}))
-        with pytest.raises(ValueError):
-            validate_signs(g, SignAssignment({g.edges[0]: 1}))
-        with pytest.raises(ValueError):
-            validate_signs(g, SignAssignment({e: 2 for e in g.edges}))
-
     def test_single_edge_flip_flips_far_side(self):
         rng = random.Random(303)
         for _ in range(30):
@@ -226,3 +217,96 @@ class TestSigns:
                 a = apply_signs(g, x, eps).values
                 b = apply_signs(g2, x, eps).values
                 assert all(b[v] == s * a[v] for v in g.vertices)
+
+
+# -- tree walks against brute force ---------------------------------------------
+
+
+def brute_parents(g):
+    """Parent pointers toward the base, found by rescanning the edge list until
+    nothing changes; shares no code with the graph's own search."""
+    parent = {g.base: None}
+    changed = True
+    while changed:
+        changed = False
+        for a, b in g.edges:
+            for u, w in ((a, b), (b, a)):
+                if u in parent and w not in parent:
+                    parent[w] = u
+                    changed = True
+    return parent
+
+
+def brute_path(g, v):
+    parent = brute_parents(g)
+    path = []
+    while parent[v] is not None:
+        path.append(tuple(sorted((parent[v], v))))
+        v = parent[v]
+    return tuple(reversed(path))
+
+
+def list_bfs_order(g):
+    """Breadth-first edge order with a list queue, as the walk was first written."""
+    adj = {v: [] for v in g.vertices}
+    for u, w in g.edges:
+        adj[u].append(w)
+        adj[w].append(u)
+    ordered, seen, frontier = [], {g.base}, [g.base]
+    while frontier:
+        u = frontier.pop(0)
+        for w in adj[u]:
+            if w not in seen:
+                ordered.append((u, w))
+                seen.add(w)
+                frontier.append(w)
+    return tuple(ordered)
+
+
+def seeded_trees(seed, count=40):
+    rng = random.Random(seed)
+    for _ in range(count):
+        g = random_tree(rng, rng.randint(1, 12))
+        yield rng, g
+        yield rng, g.with_base(rng.choice(g.vertices))
+
+
+class TestTreeWalks:
+    def test_edge_order_matches_list_bfs(self):
+        for _, g in seeded_trees(71):
+            order = g.edge_order()
+            assert order == list_bfs_order(g)
+            parent = brute_parents(g)
+            # each edge attaches its child to a vertex already reached
+            assert sorted(w for _, w in order) == sorted(set(g.vertices) - {g.base})
+            assert all(parent[w] == u for u, w in order)
+
+    def test_path_edges_match_parent_walk(self):
+        for _, g in seeded_trees(72):
+            for v in g.vertices:
+                assert g.path_edges(v) == brute_path(g, v)
+
+    def test_path_signs_match_parent_walk(self):
+        for rng, g in seeded_trees(73):
+            eps = SignAssignment({e: rng.choice((1, -1)) for e in g.edges})
+            x = ColorVector.exact({v: rng.randint(1, 7) for v in g.vertices})
+            expected = {}
+            for v in g.vertices:
+                s = 1
+                for e in brute_path(g, v):
+                    s *= eps.signs[e]
+                expected[v] = s
+            assert {v: eps.path_sign(g, v) for v in g.vertices} == expected
+            assert eps.path_signs(g) == expected
+            assert apply_signs(g, x, eps).values == {v: expected[v] * x[v] for v in g.vertices}
+
+    def test_disconnected_vertices_named(self):
+        # |E| = |V| - 1 passes the edge count; the cycle a-b-c leaves d unreached
+        text = json.dumps(
+            {
+                "vertices": [{"id": v, "framing": 0} for v in "abcd"],
+                "edges": [["a", "b"], ["b", "c"], ["a", "c"]],
+            }
+        )
+        with pytest.raises(GraphFormatError, match=r"^not a tree: disconnected vertices \['d'\]$"):
+            parse_graph(text)
