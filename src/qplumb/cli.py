@@ -64,7 +64,7 @@ def _cyc_json(x: CycNumber, bits: int, approx53: complex | None = None) -> dict:
         approx53 = to_complex(x, bits=max(53, bits))
     return {
         "conductor": x.ctx.conductor,
-        "coeffs": [[int(c.numerator), int(c.denominator)] for c in x.coeffs],
+        "coeffs": [list(pair) for pair in x.pairs()],
         "approx": _fmt_complex(approx53),
     }
 
@@ -103,9 +103,9 @@ def _parse_complex_list(spec: str, graph: PlumbedGraph) -> dict:
 
 
 def _color_grid(graph: PlumbedGraph, r: int, rng: random.Random, cap: int = 10000):
-    """All colors in {1..r-1}^V when that stays small, else seeded samples."""
-    total = (r - 1) ** len(graph.vertices)
-    if len(graph.vertices) <= 4 and total <= cap:
+    """Every coloring in {1..r-1}^V, in product order, when there are at most
+    ``cap`` of them, whatever the vertex count; else 50 seeded samples."""
+    if (r - 1) ** len(graph.vertices) <= cap:
         for combo in itertools.product(range(1, r), repeat=len(graph.vertices)):
             yield dict(zip(graph.vertices, combo))
     else:

@@ -2,13 +2,12 @@
 
 zeta is the principal primitive 4r-th root of unity and q = zeta^2, so every
 half-integer power of q (framing twists have exponents in (1/2)Z) is an honest
-field element.  An element is stored as the coefficient vector of a rational
-polynomial in zeta reduced modulo the 4r-th cyclotomic polynomial; the
-representation is canonical, so equality is coefficient comparison and the
-exact identity checks elsewhere in the package reduce to tuple equality.
-
-Coefficients are arbitrary-precision rationals (gmpy2.mpq when available,
-fractions.Fraction otherwise); no floating point enters any exact operation.
+field element.  An element is its polynomial in zeta reduced modulo the 4r-th
+cyclotomic polynomial, stored as d = phi(4r) integer numerators ``num`` over
+one denominator ``den`` > 0 with gcd(den, *num) = 1 (zero is zeros over 1).
+The form is canonical, so equality is tuple comparison, and the exact identity
+checks elsewhere in the package reduce to it.  Only `inv` goes through
+fractions.Fraction; no floating point enters any exact operation.
 """
 
 from __future__ import annotations
@@ -17,19 +16,16 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import zip_longest
+from math import gcd, lcm
 from numbers import Rational
 
 import mpmath
 
 from .errors import PoleError
 
-try:  # gmpy2 rationals are several times faster; the stdlib is a full fallback
-    from gmpy2 import mpq as _Rat
-except ImportError:  # pragma: no cover
-    _Rat = Fraction
-
-_ZERO = _Rat(0)
-_ONE = _Rat(1)
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def _poly_div_exact(num, den):
@@ -93,32 +89,19 @@ class RootContext:
 
     @cached_property
     def _power_rows(self) -> tuple[tuple[int, ...], ...]:
-        """zeta^k reduced mod phi_poly, k = 0 .. max(2*degree - 2, conductor - 1)."""
+        """zeta^k reduced mod phi_poly, k = 0 .. conductor - 1."""
         d = self.degree
-        top = max(2 * d - 2, self.conductor - 1)
-        rows = [[0] * d for _ in range(top + 1)]
-        for k in range(min(d, top + 1)):
-            rows[k][k] = 1
-        if top >= d:
-            rows[d] = [-c for c in self.phi_poly[:d]]
-            for k in range(d + 1, top + 1):
-                prev = rows[k - 1]
-                nxt = [0] + prev[: d - 1]
-                carry = prev[d - 1]
-                if carry:
-                    base = rows[d]
-                    for j in range(d):
-                        nxt[j] += carry * base[j]
-                rows[k] = nxt
-        return tuple(tuple(row) for row in rows)
-
-    def _make(self, coeffs) -> "CycNumber":
-        return CycNumber(self, tuple(coeffs), _internal=True)
+        rows = [(0,) * k + (1,) + (0,) * (d - k - 1) for k in range(d)]
+        low = [-c for c in self.phi_poly[:d]]
+        for _ in range(d, self.conductor):
+            c, shifted = rows[-1][-1], (0,) + rows[-1][:-1]
+            rows.append(tuple([a + c * b for a, b in zip(shifted, low)]) if c else shifted)
+        return tuple(rows)
 
     def scalar(self, value) -> "CycNumber":
         """Embed a rational number into the field."""
-        c = _Rat(value) if not isinstance(value, type(_ZERO)) else value
-        return self._make((c,) + (_ZERO,) * (self.degree - 1))
+        c = Fraction(value)
+        return _raw(self, (c.numerator,) + (0,) * (self.degree - 1), c.denominator)
 
     @cached_property
     def zero(self) -> "CycNumber":
@@ -128,9 +111,6 @@ class RootContext:
     def one(self) -> "CycNumber":
         return self.scalar(1)
 
-    def __repr__(self):
-        return f"RootContext(r={self.r})"
-
 
 def make_context(r: int) -> RootContext:
     """Context for the 2r-th root of unity q = exp(pi*i/r), carried in Q(zeta_{4r})."""
@@ -138,11 +118,40 @@ def make_context(r: int) -> RootContext:
 
 
 def _coerce_rat(value):
-    if isinstance(value, type(_ZERO)):
-        return value
     if isinstance(value, (int, Rational)):
-        return _Rat(value)
+        return Fraction(value)
     return None
+
+
+def _raw(ctx: RootContext, num: tuple, den: int) -> "CycNumber":
+    """Wrap numerators and a denominator already in canonical form."""
+    x = object.__new__(CycNumber)
+    x.ctx, x.num, x.den = ctx, num, den
+    return x
+
+
+def _canonical(ctx: RootContext, num: list, den: int) -> "CycNumber":
+    """Canonical form of num/den for den > 0: divide out gcd(den, *num)."""
+    g = gcd(den, *num)
+    if g != 1:
+        num = [n // g for n in num]
+        den //= g
+    return _raw(ctx, tuple(num), den)
+
+
+def _mod_phi(ctx: RootContext, conv: list) -> list:
+    """Integer coefficients of degree below 4r, reduced to the d of the field:
+    zeta^(2r) = -1 folds the top half down, rows of zeta^k clear d .. 2r-1."""
+    d, h = ctx.degree, 2 * ctx.r
+    out = conv[:h] + [0] * (d - len(conv))
+    for k in range(h, len(conv)):
+        out[k - h] -= conv[k]
+    top = out[d:]
+    del out[d:]
+    for k, c in enumerate(top, d):
+        if c:
+            out = [o + c * x for o, x in zip(out, ctx._power_rows[k])]
+    return out
 
 
 class CycNumber:
@@ -152,15 +161,15 @@ class CycNumber:
     and exact equality.  Mixed arithmetic with ints and rationals works.
     """
 
-    __slots__ = ("ctx", "coeffs")
+    __slots__ = ("ctx", "num", "den")
 
-    def __init__(self, ctx: RootContext, coeffs, _internal: bool = False):
-        if not _internal:
-            coeffs = tuple(_Rat(c) for c in coeffs)
-            if len(coeffs) != ctx.degree:
-                raise ValueError(f"expected {ctx.degree} coefficients, got {len(coeffs)}")
-        self.ctx = ctx
-        self.coeffs = coeffs
+    def __init__(self, ctx: RootContext, coeffs):
+        coeffs = [Fraction(c) for c in coeffs]
+        if len(coeffs) != ctx.degree:
+            raise ValueError(f"expected {ctx.degree} coefficients, got {len(coeffs)}")
+        den = lcm(*(c.denominator for c in coeffs))
+        self.ctx, self.den = ctx, den
+        self.num = tuple(c.numerator * (den // c.denominator) for c in coeffs)
 
     # -- helpers ---------------------------------------------------------
 
@@ -170,69 +179,70 @@ class CycNumber:
                 raise ValueError("cannot mix elements from different root contexts")
             return other
         c = _coerce_rat(other)
-        if c is None:
-            return None
-        return self.ctx.scalar(c)
+        return None if c is None else self.ctx.scalar(c)
+
+    def pairs(self) -> list:
+        """Each coefficient as (numerator, denominator) in lowest terms."""
+        den = self.den
+        return [(n // g, den // g) for n in self.num for g in (gcd(n, den),)]
+
+    @property
+    def coeffs(self) -> tuple:
+        """The d coefficients as Fractions in lowest terms."""
+        return tuple(Fraction(n, self.den) for n in self.num)
 
     @property
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     # -- ring operations -------------------------------------------------
 
+    def _add(self, o: "CycNumber", sign: int) -> "CycNumber":
+        da, db = self.den, o.den
+        if da == db:
+            return _canonical(self.ctx, [a + sign * b for a, b in zip(self.num, o.num)], da)
+        den = da // gcd(da, db) * db
+        fa, fb = den // da, sign * (den // db)
+        return _canonical(self.ctx, [a * fa + b * fb for a, b in zip(self.num, o.num)], den)
+
     def __add__(self, other):
         o = self._check(other)
-        if o is None:
-            return NotImplemented
-        return self.ctx._make(a + b for a, b in zip(self.coeffs, o.coeffs))
+        return NotImplemented if o is None else self._add(o, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self.ctx._make(-a for a in self.coeffs)
+        return _raw(self.ctx, tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other):
         o = self._check(other)
-        if o is None:
-            return NotImplemented
-        return self.ctx._make(a - b for a, b in zip(self.coeffs, o.coeffs))
+        return NotImplemented if o is None else self._add(o, -1)
 
     def __rsub__(self, other):
         o = self._check(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        return NotImplemented if o is None else o._add(self, -1)
 
     def scale(self, c) -> "CycNumber":
         """Multiply by the rational c coefficient by coefficient: O(degree)."""
         k = _coerce_rat(c)
         if k is None:
             raise TypeError(f"scale needs a rational factor, got {c!r}")
-        return self.ctx._make(a * k for a in self.coeffs)
+        p = k.numerator
+        return _canonical(self.ctx, [a * p for a in self.num], self.den * k.denominator)
 
     def __mul__(self, other):
         if not isinstance(other, CycNumber):
             return NotImplemented if _coerce_rat(other) is None else self.scale(other)
         if other.ctx.r != self.ctx.r:
             raise ValueError("cannot mix elements from different root contexts")
-        a, b = self.coeffs, other.coeffs
-        d = self.ctx.degree
-        conv = [_ZERO] * (2 * d - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
-        rows = self.ctx._power_rows
-        out = list(conv[:d])
-        for k in range(d, 2 * d - 1):
-            c = conv[k]
-            if c:
-                row = rows[k]
-                for j in range(d):
-                    if row[j]:
-                        out[j] += c * row[j]
-        return self.ctx._make(out)
+        ctx = self.ctx
+        conv = [0] * (2 * ctx.degree - 1)
+        nonzero = [(j, b) for j, b in enumerate(other.num) if b]
+        for i, a in enumerate(self.num):
+            if a:
+                for j, b in nonzero:
+                    conv[i + j] += a * b
+        return _canonical(ctx, _mod_phi(ctx, conv), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -241,7 +251,7 @@ class CycNumber:
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero in Q(zeta)")
         # Work over Q[x]: gcd(self, phi) is a nonzero constant since phi is irreducible.
-        r0 = [_Rat(c) for c in self.ctx.phi_poly]
+        r0 = [Fraction(c) for c in self.ctx.phi_poly]
         r1 = list(self.coeffs)
         s0, s1 = [_ZERO], [_ONE]
         while True:
@@ -252,31 +262,18 @@ class CycNumber:
             q, rem = _poly_divmod(r0, r1)
             r0, r1 = r1, rem
             s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        c = r1[0]
-        d = self.ctx.degree
-        inv_coeffs = [si / c for si in s1]
-        # s1 may exceed the field degree; reduce it mod phi.
-        rows = self.ctx._power_rows
-        out = [_ZERO] * d
-        for k, ck in enumerate(inv_coeffs):
-            if ck:
-                row = rows[k]
-                for j in range(d):
-                    if row[j]:
-                        out[j] += ck * row[j]
-        return self.ctx._make(out)
+        s1 = [si / r1[0] for si in s1]
+        den = lcm(*(c.denominator for c in s1))
+        conv = [c.numerator * (den // c.denominator) for c in s1]
+        return _canonical(self.ctx, _mod_phi(self.ctx, conv), den)
 
     def __truediv__(self, other):
         o = self._check(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inv()
+        return NotImplemented if o is None else self * o.inv()
 
     def __rtruediv__(self, other):
         o = self._check(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inv()
+        return NotImplemented if o is None else o * self.inv()
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
@@ -298,12 +295,10 @@ class CycNumber:
 
     def __eq__(self, other):
         o = self._check(other)
-        if o is None:
-            return NotImplemented
-        return self.coeffs == o.coeffs
+        return NotImplemented if o is None else self.num == o.num and self.den == o.den
 
     def __hash__(self):
-        return hash((self.ctx.r, self.coeffs))
+        return hash((self.ctx.r, self.num, self.den))
 
     def __complex__(self):
         return complex(to_complex(self))
@@ -363,16 +358,12 @@ def _poly_mul(a, b):
 
 
 def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [_ZERO] * (n - len(a))
-    b = list(b) + [_ZERO] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
+    return [x - y for x, y in zip_longest(a, b, fillvalue=_ZERO)]
 
 
 @functools.lru_cache(maxsize=None)
 def _zeta_reduced(ctx: RootContext, k: int) -> CycNumber:
-    row = ctx._power_rows[k]
-    return ctx._make(_Rat(c) for c in row)
+    return _raw(ctx, ctx._power_rows[k], 1)
 
 
 def zeta_pow(ctx: RootContext, k: int) -> CycNumber:
@@ -429,8 +420,15 @@ def brace_inv(ctx: RootContext, z) -> CycNumber:
 
 
 @functools.lru_cache(maxsize=None)
+def inv_brace_one(ctx: RootContext) -> CycNumber:
+    """1/{1}, inverted on its own and not read from the :func:`brace_inv`
+    table, so that qint and the Hopf value stay independent of that table."""
+    return brace(ctx, 1).inv()
+
+
+@functools.lru_cache(maxsize=None)
 def _qint_cached(ctx: RootContext, z) -> CycNumber:
-    return brace(ctx, z) * brace_inv(ctx, 1)
+    return brace(ctx, z) * inv_brace_one(ctx)
 
 
 def qint(ctx: RootContext, z: int) -> CycNumber:
@@ -449,8 +447,8 @@ def to_complex(x: CycNumber, bits: int = 53) -> mpmath.mpc:
     with mpmath.workprec(bits):
         zeta = mpmath.exp(mpmath.mpc(0, 1) * mpmath.pi / (2 * x.ctx.r))
         acc = mpmath.mpc(0)
-        for c in reversed(x.coeffs):
+        for n, d in reversed(x.pairs()):
             acc = acc * zeta
-            if c:
-                acc += mpmath.mpf(int(c.numerator)) / int(c.denominator)
+            if n:
+                acc += mpmath.mpf(n) / d
         return +acc

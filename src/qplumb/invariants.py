@@ -31,7 +31,15 @@ from fractions import Fraction
 
 import mpmath
 
-from .cyclotomic import CycNumber, RootContext, brace, brace_inv, to_complex, zeta_pow
+from .cyclotomic import (
+    CycNumber,
+    RootContext,
+    brace,
+    brace_inv,
+    inv_brace_one,
+    to_complex,
+    zeta_pow,
+)
 from .errors import PoleError
 from .numeric import NumericContext, brace_c, is_pole, mod_dim, q_pow, r_sign
 from .plumbing import ColorVector, PlumbedGraph, apply_signs, enumerate_signs
@@ -62,7 +70,7 @@ def rt_hopf(ctx: RootContext, m: int, n: int) -> CycNumber:
     (-1)^(m+n) {(m+1)(n+1)} / {1}."""
     _check_rt_color(ctx, m)
     _check_rt_color(ctx, n)
-    val = brace(ctx, (m + 1) * (n + 1)) * brace_inv(ctx, 1)
+    val = brace(ctx, (m + 1) * (n + 1)) * inv_brace_one(ctx)
     return -val if (m + n) % 2 else val
 
 
@@ -197,7 +205,8 @@ def rt_plumbed_recursive(ctx: RootContext, graph: PlumbedGraph, colors) -> CycNu
     Independent of :func:`rt_plumbed`: starts from the first edge as a bare
     Hopf link and, for each further edge, multiplies in a zero-framed Hopf
     link at the attachment vertex and divides by that vertex's quantum
-    dimension.  Must agree with the closed form exactly.
+    dimension, inverted once per color.  Must agree with the closed form
+    exactly; it reads no inverse from the :func:`brace_inv` table.
     """
     n = _color_map(colors)
     for v in graph.vertices:
@@ -212,15 +221,19 @@ def rt_plumbed_recursive(ctx: RootContext, graph: PlumbedGraph, colors) -> CycNu
         * rt_twist(ctx, n[w0], graph.framing[w0])
         * rt_hopf(ctx, n[u0], n[w0])
     )
+    qd_invs = {}
     for u, w in order[1:]:
-        qd = qdim_simple(ctx, n[u])
-        if qd.is_zero:
-            raise PoleError(
-                f"cannot form a connected sum at vertex {u!r}: its color {n[u]} "
-                "has zero quantum dimension"
-            )
+        qd_inv = qd_invs.get(n[u])
+        if qd_inv is None:
+            qd = qdim_simple(ctx, n[u])
+            if qd.is_zero:
+                raise PoleError(
+                    f"cannot form a connected sum at vertex {u!r}: its color {n[u]} "
+                    "has zero quantum dimension"
+                )
+            qd_inv = qd_invs[n[u]] = qd.inv()
         hop = rt_twist(ctx, n[w], graph.framing[w]) * rt_hopf(ctx, n[u], n[w])
-        val = qd.inv() * val * hop
+        val = qd_inv * val * hop
     return val
 
 
@@ -422,12 +435,15 @@ def theorem_check(ctx: RootContext, graph: PlumbedGraph, colors) -> TheoremRepor
     rt_colors = {v: ctx.r - 1 - x[v] for v in graph.vertices}
     lhs = rt_plumbed(ctx, graph, rt_colors)
     rhs = theorem_rhs(ctx, graph, x)
+    equal = lhs == rhs
+    lhs_numeric = complex(to_complex(lhs))
     return TheoremReport(
         r=ctx.r,
         x=dict(x),
         lhs=lhs,
         rhs=rhs,
-        equal=lhs == rhs,
-        lhs_numeric=complex(to_complex(lhs)),
-        rhs_numeric=complex(to_complex(rhs)),
+        equal=equal,
+        lhs_numeric=lhs_numeric,
+        # equal values have equal coefficients, so their embeddings agree bit for bit
+        rhs_numeric=lhs_numeric if equal else complex(to_complex(rhs)),
     )

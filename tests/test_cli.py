@@ -1,11 +1,13 @@
 """CLI behavior: exit codes, record schemas, determinism."""
 
+import itertools
 import json
 import pathlib
 
 import pytest
 
 from qplumb.cli import main
+from qplumb.plumbing import load_graph
 
 GRAPHS = pathlib.Path(__file__).resolve().parent.parent / "graphs"
 HOPF = str(GRAPHS / "hopf.json")
@@ -277,3 +279,32 @@ class TestErrorsAndFormats:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["records"]
+
+
+class TestColorsAllEnumerates:
+    """`--colors all` enumerates {1..r-1}^V whenever that is at most 10000
+    colorings, whatever the number of vertices."""
+
+    CATERPILLAR6 = str(GRAPHS / "caterpillar6.json")
+
+    def records(self, capsys, r):
+        code, out, err = run(
+            capsys, "check-theorem", "--r", str(r), "--graph", self.CATERPILLAR6, "--colors", "all"
+        )
+        assert code == 0, err
+        return json.loads(out)["records"]
+
+    def test_single_coloring_at_r2(self, capsys):
+        recs = self.records(capsys, 2)
+        assert len(recs) == 1
+        assert set(recs[0]["x"].values()) == {1}
+
+    def test_every_coloring_in_product_order_at_r3(self, capsys):
+        import itertools
+
+        recs = self.records(capsys, 3)
+        vertices = load_graph(self.CATERPILLAR6).vertices  # the JSON sorts the keys of "x"
+        assert len(vertices) == 6
+        want = [dict(zip(vertices, combo)) for combo in itertools.product((1, 2), repeat=6)]
+        assert [rec["x"] for rec in recs] == want
+        assert all(rec["equal"] for rec in recs)
