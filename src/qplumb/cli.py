@@ -242,7 +242,9 @@ def _run_sweep(args):
         for framings in framing_grid:
             g = _apply_framings(graph, framings)
             for x in _color_grid(g, r, rng):
-                records.append(_theorem_record(ctx, g, args.graph, x, args.precision))
+                rec = _theorem_record(ctx, g, args.graph, x, args.precision)
+                rec["framings"] = framings
+                records.append(rec)
     failed = any(not rec["equal"] for rec in records)
     return records, failed
 

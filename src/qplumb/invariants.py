@@ -41,7 +41,7 @@ from .cyclotomic import (
     zeta_pow,
 )
 from .errors import PoleError
-from .numeric import NumericContext, brace_c, is_pole, mod_dim, q_pow, r_sign
+from .numeric import DyadicPhase, NumericContext, brace_c, is_pole, mod_dim, q_pow, r_sign
 from .plumbing import ColorVector, PlumbedGraph, apply_signs, enumerate_signs
 from .quantumrep import qdim_simple
 
@@ -241,7 +241,15 @@ def rt_plumbed_recursive(ctx: RootContext, graph: PlumbedGraph, colors) -> CycNu
 
 
 def rn_plumbed_numeric(nctx: NumericContext, graph: PlumbedGraph, colors, strict: bool = False):
-    """Closed-form re-normalized invariant at complex colors.
+    """Closed-form re-normalized invariant at complex colors, in normal form::
+
+        ((-1)^(r-1) r)^|E| * q^Phi * prod_{deg(v)!=1} mod_dim(alpha_v)^(1-deg(v)),
+        Phi = sum_v f_v (alpha_v^2 - (r-1)^2)/2 + sum_edges alpha_u alpha_w
+
+    Every color, after mpmathify at the working precision, is a pair of
+    dyadic rationals, so Phi is summed exactly in integers
+    (:class:`~qplumb.numeric.DyadicPhase`); its real part is reduced mod 2r
+    before the one exponential, so large framings cost no accuracy.
 
     Vertices of degree != 1 contribute mod_dim(alpha)^(1-degree), so an
     integer color there sits on the singular set and raises
@@ -253,24 +261,33 @@ def rn_plumbed_numeric(nctx: NumericContext, graph: PlumbedGraph, colors, strict
         for v in graph.vertices:
             if is_pole(nctx, a[v]):
                 raise PoleError(f"strict mode: color at vertex {v!r} is an integer")
+    r = nctx.r
     with nctx.workprec():
-        sign = r_sign(nctx.r)
-        val = mpmath.mpc(1)
-        for v in graph.vertices:
-            val = val * rn_twist(nctx, a[v], graph.framing[v])
+        phase = DyadicPhase()
+        parts = phase.parts
+        framing_sum = 0
+        dims = mpmath.mpc(1)
+        for v, f in zip(graph.vertices, graph.framings):
+            av = parts(a[v])
+            if f:
+                phase.add_product(av, av, f, -1)
+                framing_sum += f
             d = graph.degree(v)
             if d == 0:
-                val = val * mod_dim(nctx, a[v])
+                dims = dims * mod_dim(nctx, a[v])
             elif d >= 2:
-                val = val / mod_dim(nctx, a[v]) ** (d - 1)
+                dims = dims / mod_dim(nctx, a[v]) ** (d - 1)
+        phase.add_real(-framing_sum * (r - 1) ** 2, -1)
         for u, w in graph.edges:
-            val = val * sign * nctx.r * q_pow(nctx, mpmath.mpmathify(a[u]) * mpmath.mpmathify(a[w]))
-        return +val
+            phase.add_product(parts(a[u]), parts(a[w]))
+        scalar = mpmath.mpf((r_sign(r) * r) ** len(graph.edges))
+        return +(phase.value(nctx) * scalar * dims)
 
 
 def rn_plumbed_recursive(nctx: NumericContext, graph: PlumbedGraph, colors):
     """Re-normalized invariant via connected sums; numeric oracle for the
-    closed form."""
+    closed form.  It multiplies the factors one by one, with unreduced
+    phases, independently of the closed form's exact phase sum."""
     a = _color_map(colors)
     with nctx.workprec():
         if not graph.edges:
@@ -283,9 +300,14 @@ def rn_plumbed_recursive(nctx: NumericContext, graph: PlumbedGraph, colors):
             * rn_twist(nctx, a[w0], graph.framing[w0])
             * rn_hopf(nctx, a[u0], a[w0])
         )
+        # the order is breadth-first, so the edges leaving one vertex are
+        # contiguous and each attachment vertex needs one modified dimension
+        last_u, dim_u = object(), None
         for u, w in order[1:]:
             hop = rn_twist(nctx, a[w], graph.framing[w]) * rn_hopf(nctx, a[u], a[w])
-            val = val * hop / mod_dim(nctx, a[u])
+            if u != last_u:
+                last_u, dim_u = u, mod_dim(nctx, a[u])
+            val = val * hop / dim_u
         return +val
 
 

@@ -192,6 +192,42 @@ class TestSweep:
         assert out1 == out2
 
 
+class TestSweepFramings:
+    def test_sampled_record_rechecks_through_check_theorem(self, capsys):
+        # star3 has 5^4 framing combinations, more than the grid cap, so the
+        # framings are sampled from the seed
+        code, out, _ = run(
+            capsys, "sweep", "--r", "3", "--graph", STAR3, "--framing-samples", "5", "--seed", "12"
+        )
+        assert code == 0
+        records = json.loads(out)["records"]
+        vertices = load_graph(STAR3).vertices
+        assert all(list(rec["framings"]) == list(vertices) for rec in records)
+        assert len({tuple(rec["framings"].values()) for rec in records}) > 1
+        rec = records[-1]
+        code, out, _ = run(
+            capsys,
+            "check-theorem", "--r", "3", "--graph", STAR3,
+            # "=" keeps a leading negative framing from reading as a flag
+            "--framings=" + ",".join(str(rec["framings"][v]) for v in vertices),
+            "--colors", ",".join(str(rec["x"][v]) for v in vertices),
+        )
+        assert code == 0
+        (again,) = json.loads(out)["records"]
+        assert again["lhs"] == rec["lhs"]
+        assert "framings" not in again
+
+    def test_csv_carries_framings(self, capsys):
+        code, out, _ = run(
+            capsys, "sweep", "--r", "2", "--graph", HOPF, "--framing-min", "0",
+            "--framing-max", "1", "--format", "csv",
+        )
+        assert code == 0
+        header, first = out.splitlines()[:2]
+        assert header.split(",")[-1] == "framings"
+        assert first.endswith("v1=0;v2=0")
+
+
 class TestCheckRelations:
     def test_passes(self, capsys):
         code, out, _ = run(capsys, "check-relations", "--r", "2..3", "--samples", "5")

@@ -1,10 +1,12 @@
 """Byte identity of CLI stdout for fixed invocations.
 
-The sha256 digests and exit codes below were recorded from the code at commit
+The sha256 digests and exit codes below were recorded by running each
+invocation from the checkout root: the first five from the code at commit
 798cd31, before CycNumber moved from Fraction coefficients to integer
-numerators over one denominator, by running each invocation from the checkout
-root.  Any change to an exact value, a numeric embedding or the JSON layout
-changes a digest.
+numerators over one denominator; the two numeric `compute-ado` ones from the
+code at commit 6f477b1, before `rn_plumbed_numeric` summed its phase exactly.
+Any change to an exact value, a numeric embedding or the JSON layout changes
+a digest.
 """
 
 import hashlib
@@ -41,6 +43,17 @@ PINNED = [
         "compute-rt --r 3 --graph graphs/hopf.json --colors 1,2",
         0,
         "05c8ec7e2843167ddd1dcbfcc3a95d42d96e08d4faf8b26d35c12b02bedf6ef8",
+    ),
+    (
+        "compute-ado --r 3 --graph graphs/path3.json --colors 0.5,1.5+0.25j,-0.75",
+        0,
+        "141d4954cc2dc13502236a1c0e13a7b6f2e4d60d202808db9fe180a3011243b3",
+    ),
+    (
+        "compute-ado --r 5 --graph graphs/star3.json --colors 0.3,1.7+0.2j,0.51,2.25-0.4j"
+        " --precision 120",
+        0,
+        "e650dcffa539fb5b267eaa2061100ca8188211e2a65f562d2d1d5c63bf5fd45b",
     ),
 ]
 
