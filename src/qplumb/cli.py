@@ -10,7 +10,8 @@ Subcommands::
     check-relations  verify the defining relations of the module actions
 
 Output is a single JSON document (or CSV with --format csv), byte-identical
-across runs for a fixed invocation and seed.  Exit codes: 0 success,
+across runs for a fixed invocation and seed.  It is streamed to stdout or the
+--out file once every record has been computed.  Exit codes: 0 success,
 1 usage error, 2 input/validation error, 3 at least one check failed.
 """
 
@@ -18,11 +19,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import itertools
 import json
 import os
 import random
+import re
 import sys
 
 from .cyclotomic import CycNumber, make_context, to_complex
@@ -289,19 +290,67 @@ def _run_check_relations(args):
 # -- output ------------------------------------------------------------------
 
 
-def _emit(args, records) -> str:
+def _emit(args, records, out) -> None:
+    """Write the records to the text file ``out`` as JSON or CSV."""
     if args.format == "json":
         # compute-rt and compute-ado take no --seed and report seed 0
         doc = {"command": args.command, "seed": getattr(args, "seed", 0), "records": records}
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    buf = io.StringIO()
-    if records:
+        _write_json(doc, out.write)
+    elif records:
         fieldnames = _csv_fields(records)
-        writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
+        writer = csv.DictWriter(out, fieldnames=fieldnames, lineterminator="\n")
         writer.writeheader()
         for rec in records:
             writer.writerow({k: _csv_cell(rec.get(k)) for k in fieldnames})
-    return buf.getvalue()
+
+
+_FLUSH_PIECES = 4096
+
+
+def _write_json(doc, write) -> None:
+    """Write ``json.dumps(doc, indent=2, sort_keys=True) + "\n"`` through
+    ``write``, in chunks of about ``_FLUSH_PIECES`` pieces, so the whole text
+    is never held at once.
+
+    Strings, ints and non-empty dicts and lists are laid out here; any other
+    value (bool, None, an empty container) is one line from json.dumps.
+    """
+    pieces = []
+    encode = json.encoder.encode_basestring_ascii
+
+    def walk(o, newline):
+        kind = type(o)
+        if kind is str:
+            pieces.append(encode(o))
+        elif kind is int:
+            pieces.append(int.__repr__(o))
+        elif kind is dict and o:
+            inner = newline + "  "
+            sep = "{" + inner
+            for key in sorted(o):
+                pieces.append(sep)
+                pieces.append(encode(key))
+                pieces.append(": ")
+                walk(o[key], inner)
+                sep = "," + inner
+            pieces.append(newline + "}")
+        elif kind is list and o:
+            inner = newline + "  "
+            sep = "[" + inner
+            for item in o:
+                pieces.append(sep)
+                walk(item, inner)
+                sep = "," + inner
+            pieces.append(newline + "]")
+        else:
+            pieces.append(json.dumps(o))
+        if len(pieces) >= _FLUSH_PIECES:
+            write("".join(pieces))
+            pieces.clear()
+
+    walk(doc, "\n")
+    pieces.append("\n")
+    write("".join(pieces))
 
 
 def _csv_fields(records):
@@ -388,10 +437,28 @@ _RUNNERS = {
 }
 
 
+_LIST_FLAGS = ("--colors", "--framings")
+_NEGATIVE_NUMBER = re.compile(r"-[0-9.]")
+
+
+def _join_negative_lists(argv: list) -> list:
+    """Join a list flag to a following value that starts with a negative
+    number (``--framings -1,0`` -> ``--framings=-1,0``): argparse would read
+    the value as an option and leave the flag without its argument."""
+    out = []
+    for tok in argv:
+        if out and out[-1] in _LIST_FLAGS and _NEGATIVE_NUMBER.match(tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_lists(argv))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -405,20 +472,15 @@ def main(argv=None) -> int:
         if args.precision < 53:
             raise ValueError("--precision must be at least 53")
         records, failed = _RUNNERS[args.command](args)
-        text = _emit(args, records)
+        # every record is computed before the first byte is written
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                _emit(args, records, fh)
+        else:
+            _emit(args, records, sys.stdout)
     except (GraphFormatError, CapacityError, PoleError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INPUT
-    else:
-        sys.stdout.write(text)
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 

@@ -400,15 +400,22 @@ def brace(ctx: RootContext, z) -> CycNumber:
 
 @functools.lru_cache(maxsize=None)
 def _brace_inv_cached(ctx: RootContext, two_z: int) -> CycNumber:
-    return _brace_cached(ctx, two_z).inv()
+    # {z} = q^-z (w - 1) with w = q^2z; w^n = 1 != w, so (w - 1) * sum_{k<n} k w^k = n
+    n = ctx.conductor
+    poly = [0] * n
+    for k in range(1, n):
+        poly[two_z * (2 * k + 1) % n] += k
+    return _canonical(ctx, _mod_phi(ctx, poly), n)
 
 
 def brace_inv(ctx: RootContext, z) -> CycNumber:
     """1/{z}, from a table filled on first use.
 
     {z + r} = -{z}, so the table is keyed by 2z mod 2r and holds at most 2r
-    entries per context; each entry costs one inversion per process.  A
-    vanishing {z} (z a multiple of r) raises :class:`PoleError`.
+    entries per context.  Each entry is the closed form
+    1/{z} = (1/4r) sum_{k=1}^{4r-1} k q^(z(2k+1)), summed in integers without
+    an inversion.  A vanishing {z} (z a multiple of r) raises
+    :class:`PoleError`.
     """
     two_z = _brace_two_z(z) % ctx.conductor
     half = 2 * ctx.r
@@ -436,11 +443,14 @@ def qint(ctx: RootContext, z: int) -> CycNumber:
     return _qint_cached(ctx, z % (2 * ctx.r))
 
 
+@functools.lru_cache(maxsize=4096)
 def to_complex(x: CycNumber, bits: int = 53) -> mpmath.mpc:
     """Numeric embedding at the principal root zeta = exp(pi*i/(2r)).
 
     The polynomial is evaluated at the requested working precision (>= 53 bits),
     so the result is reliable even when the rational coefficients are large.
+    The last 4096 embeddings are kept: the form of x is canonical, so a repeated
+    value gets the same bits as a fresh evaluation, without the evaluation.
     """
     if bits < 53:
         raise ValueError("bits must be at least 53")

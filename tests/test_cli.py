@@ -7,6 +7,8 @@ import pathlib
 import pytest
 
 from qplumb.cli import main
+from qplumb.cyclotomic import make_context, to_complex
+from qplumb.invariants import theorem_check
 from qplumb.plumbing import load_graph
 
 GRAPHS = pathlib.Path(__file__).resolve().parent.parent / "graphs"
@@ -344,3 +346,54 @@ class TestColorsAllEnumerates:
         want = [dict(zip(vertices, combo)) for combo in itertools.product((1, 2), repeat=6)]
         assert [rec["x"] for rec in recs] == want
         assert all(rec["equal"] for rec in recs)
+
+
+class TestNegativeListFlags:
+    """A list flag whose value starts with a negative number is the same
+    request as its --flag=value form."""
+
+    @pytest.mark.parametrize(
+        "argv, flag, value",
+        [
+            (("check-theorem", "--r", "3", "--graph", STAR3, "--colors", "1,1,1,1"),
+             "--framings", "-1,0,0,0"),
+            (("check-theorem", "--r", "2", "--graph", HOPF, "--colors", "1,1"),
+             "--framings", "-3,3"),
+            (("compute-ado", "--r", "3", "--graph", HOPF), "--colors", "-0.5,1.5"),
+            (("compute-ado", "--r", "3", "--graph", HOPF), "--colors", "-.5+0.25j,1.5"),
+        ],
+    )
+    def test_separate_value_equals_joined_form(self, capsys, argv, flag, value):
+        joined = run(capsys, *argv, f"{flag}={value}")
+        assert joined[0] == 0, joined[2]
+        assert run(capsys, *argv, flag, value) == joined
+
+    def test_flag_without_value_stays_a_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "check-theorem", "--r", "2", "--graph", HOPF, "--framings", "--colors", "1,1"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error:")
+
+
+def test_to_complex_embeds_each_distinct_value_once(capsys, monkeypatch):
+    """The embedding cache: one evaluation per distinct lhs of a
+    `--colors all` run, and a hit has the bits of a fresh evaluation."""
+    monkeypatch.chdir(GRAPHS.parent)
+    to_complex.cache_clear()
+    assert main(["check-theorem", "--r", "8", "--graph", "graphs/hopf.json", "--colors", "all"]) == 0
+    capsys.readouterr()
+    misses = to_complex.cache_info().misses
+    graph, ctx = load_graph("graphs/hopf.json"), make_context(8)
+    lhs = {
+        theorem_check(ctx, graph, dict(zip(graph.vertices, x))).lhs
+        for x in itertools.product(range(1, 8), repeat=2)
+    }
+    assert to_complex.cache_info().misses == misses == len(lhs) < 49
+    cached = {value: to_complex(value) for value in lhs}
+    to_complex.cache_clear()
+    for value, z in cached.items():
+        fresh = to_complex(value)
+        assert fresh is not z
+        assert fresh._mpc_ == z._mpc_  # (sign, man, exp, bc) of both parts

@@ -535,6 +535,12 @@ class TestNormalFormOracles:
                     continue
                 z = Fraction(two_z, 2)
                 assert brace(ctx, z) * brace_inv(ctx, z) == ctx.one
+        # the closed-form table against inversion by the Euclidean algorithm
+        for r in range(2, 41):
+            ctx = make_context(r)
+            for two_z in range(1, 2 * r):
+                z = Fraction(two_z, 2)
+                assert brace_inv(ctx, z) == brace(ctx, z).inv()
 
     def test_zero_brace_has_no_inverse(self):
         for r in (2, 3, 7):

@@ -4,9 +4,11 @@ The sha256 digests and exit codes below were recorded by running each
 invocation from the checkout root: the first five from the code at commit
 798cd31, before CycNumber moved from Fraction coefficients to integer
 numerators over one denominator; the two numeric `compute-ado` ones from the
-code at commit 6f477b1, before `rn_plumbed_numeric` summed its phase exactly.
-Any change to an exact value, a numeric embedding or the JSON layout changes
-a digest.
+code at commit 6f477b1, before `rn_plumbed_numeric` summed its phase exactly;
+the last four, and the `--out` file, from the code at commit 433192b, before
+the JSON and CSV output were streamed to the file and `to_complex` kept its
+recent results.  Any change to an exact value, a numeric embedding or the
+JSON or CSV layout changes a digest.
 """
 
 import hashlib
@@ -55,6 +57,26 @@ PINNED = [
         0,
         "e650dcffa539fb5b267eaa2061100ca8188211e2a65f562d2d1d5c63bf5fd45b",
     ),
+    (
+        "check-theorem --r 2..4 --graph graphs/star3.json --colors all --format csv",
+        0,
+        "fdebe696e40e8a1539085d3ec19c471fc110a6b0825012c72d459e7d16eff072",
+    ),
+    (
+        "sweep --r 2..3 --graph graphs/path3.json --seed 7",
+        0,
+        "936f3db2a01aba004a30f6d118e48efeb921fb43106a99a02189412dcc75d1cf",
+    ),
+    (
+        "check-relations --r 2..3 --samples 3",
+        0,
+        "c70cb1849dfec454a49e73474e094b9c51a9e01e514514f5874c29e5c83d0f4e",
+    ),
+    (
+        "compute-rt --r 7 --graph graphs/star3.json --colors 1,2,3,4 --precision 90",
+        0,
+        "a0b6be7407791ead32ce23048f709e6a5dae4b0f41ababd527a335e4f0ae3b08",
+    ),
 ]
 
 
@@ -64,3 +86,13 @@ def test_stdout_is_byte_identical(argv, code, digest, capsys, monkeypatch):
     assert main(argv.split()) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_out_file_is_byte_identical(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    target = tmp_path / "report.json"
+    argv = ["check-theorem", "--r", "2..5", "--graph", "graphs/hopf.json", "--out", str(target)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == ""
+    digest = hashlib.sha256(target.read_bytes()).hexdigest()
+    assert digest == "34096cba6fe1b996c05c8cbc363021711a13d13aeeb4ca3acbce408d010c0102"
