@@ -1,27 +1,17 @@
 """Link-invariant evaluators for plumbed trees and the main identity checker.
 
-Two lanes compute the same family of links:
-
-* the exact lane evaluates the Reshetikhin-Turaev invariant of a plumbed
-  link whose components carry the simple modules S_n, as an element of
-  Q(zeta_{4r});
-* the numeric lane evaluates the re-normalized invariant (equivalently the
-  ADO invariant) at arbitrary complex colors, where the modified quantum
-  dimension replaces the vanishing quantum dimension.
-
-Every evaluator exists in closed form (a product over vertices and edges)
-and as a recursive construction that grows the tree one Hopf-link connected
-sum at a time; the two routes are independent and are cross-checked in the
-test suite.
+The exact lane evaluates the Reshetikhin-Turaev invariant of a plumbed link
+colored by the simple modules S_n, in Q(zeta_{4r}).  The numeric lane
+evaluates the re-normalized (equivalently ADO) invariant at arbitrary complex
+colors, where the modified quantum dimension replaces the vanishing quantum
+dimension.  Every evaluator exists in closed form (a product over vertices
+and edges) and as a recursive construction by Hopf-link connected sums; the
+two routes are independent and are cross-checked in the test suite.
 
 ``theorem_check`` verifies, exactly in the cyclotomic field, that the RT
 value at colors r-1-x equals a normalized signed sum over all edge-sign
-assignments of regularized limits of the re-normalized invariant.  Each
-term's weight is the product of the edge signs times, for every vertex of
-degree >= 2, the accumulated base-to-vertex sign raised to (degree - 1);
-the extra factor compensates the sign that the brace denominators pick up
-at sign-flipped limit points and makes every edge's contribution local to
-that edge, hence independent of the base vertex.
+assignments of regularized limits of the re-normalized invariant, each term
+weighted as :func:`_term_weight` describes.
 """
 
 from __future__ import annotations
@@ -31,25 +21,15 @@ from fractions import Fraction
 
 import mpmath
 
-from .cyclotomic import (
-    CycNumber,
-    RootContext,
-    brace,
-    brace_inv,
-    inv_brace_one,
-    to_complex,
-    zeta_pow,
-)
+from .cyclotomic import CycNumber, RootContext, brace, brace_inv, inv_brace_one, to_complex, zeta_pow
 from .errors import PoleError
-from .numeric import DyadicPhase, NumericContext, brace_c, is_pole, mod_dim, q_pow, r_sign
+from .numeric import DyadicPhase, NumericContext, _consts, _q_pow_at, _sin_pi_at, mod_dim, r_sign
 from .plumbing import ColorVector, PlumbedGraph, apply_signs, enumerate_signs
 from .quantumrep import qdim_simple
 
 
 def _color_map(colors) -> dict:
-    if isinstance(colors, ColorVector):
-        return dict(colors.values)
-    return dict(colors)
+    return dict(colors.values if isinstance(colors, ColorVector) else colors)
 
 
 def _is_int(n) -> bool:
@@ -80,13 +60,16 @@ def rn_hopf(ctx, a, b):
     Exact (integer colors) when given a RootContext, complex when given a
     NumericContext; the formula is entire in the colors.
     """
-    sign = r_sign(ctx.r)
     if isinstance(ctx, RootContext):
         if not isinstance(a, int) or not isinstance(b, int):
             raise ValueError("exact Hopf values need integer colors")
-        return ctx.scalar(sign * ctx.r) * zeta_pow(ctx, 2 * a * b)
+        return ctx.scalar(r_sign(ctx.r) * ctx.r) * zeta_pow(ctx, 2 * a * b)
     with ctx.workprec():
-        return +(sign * ctx.r * q_pow(ctx, mpmath.mpmathify(a) * mpmath.mpmathify(b)))
+        return _rn_hopf_at(_consts(ctx.precision_bits), ctx.r, a, b)
+
+
+def _rn_hopf_at(c, r: int, a, b):
+    return r_sign(r) * r * _q_pow_at(c, r, mpmath.mpmathify(a) * mpmath.mpmathify(b))
 
 
 def rt_twist(ctx: RootContext, n: int, f: int) -> CycNumber:
@@ -108,8 +91,12 @@ def rn_twist(ctx, color, f: int):
             raise ValueError("exact twists need integer colors")
         return zeta_pow(ctx, f * (color * color - (ctx.r - 1) ** 2))
     with ctx.workprec():
-        a = mpmath.mpmathify(color)
-        return +q_pow(ctx, f * (a * a - (ctx.r - 1) ** 2) / 2)
+        return _rn_twist_at(_consts(ctx.precision_bits), ctx.r, color, f)
+
+
+def _rn_twist_at(c, r: int, color, f: int):
+    a = mpmath.mpmathify(color)
+    return _q_pow_at(c, r, f * (a * a - (r - 1) ** 2) / 2)
 
 
 # -- exact closed forms in normal form -----------------------------------------
@@ -167,10 +154,8 @@ def rt_plumbed(ctx: RootContext, graph: PlumbedGraph, colors) -> CycNumber:
 
     With qdim(S_n) = (-1)^n {n+1}/{1} and the Hopf value
     (-1)^(m+n) {(m+1)(n+1)}/{1}, the product is +-zeta^K * prod_a {a}^(e_a).
-    The vertex and edge loop only sums K, the sign and the exponents e_a;
-    the value then costs O(r) field operations however large the tree: one
-    power per distinct brace (O(log |V|) multiplications each), with every
-    inverse brace taken from the table of :func:`brace_inv`.
+    The loops only sum K, the sign and the exponents e_a; the value then
+    costs O(r) field operations (:class:`_BraceMonomial`) however large the tree.
 
     A vertex of degree >= 2 whose color has vanishing quantum dimension
     (n = r-1) is a pole of the formula and raises :class:`PoleError`.
@@ -240,48 +225,64 @@ def rt_plumbed_recursive(ctx: RootContext, graph: PlumbedGraph, colors) -> CycNu
 # -- numeric re-normalized invariant ------------------------------------------
 
 
+def _rn_normal_form(nctx: NumericContext, graph: PlumbedGraph, colors, strict, quotient):
+    """:func:`rn_plumbed_numeric`, or with ``quotient`` :func:`rn_quotient_numeric`."""
+    a = _color_map(colors)
+    r = nctx.r
+    with nctx.workprec():
+        c = _consts(nctx.precision_bits)
+        phase = DyadicPhase()
+        parts = phase.parts
+        framing_sum = two_i_exp = 0
+        num = den = 1
+        for v, f in zip(graph.vertices, graph.framings):
+            x = mpmath.mpmathify(a[v])
+            xp = parts(x)
+            if f:
+                phase.add_product(xp, xp, f, -1)
+                framing_sum += f
+            d = graph.degree(v)
+            if d == 1 and not strict:
+                continue
+            sin_pi, pole = _sin_pi_at(c, x)
+            if pole and strict:
+                raise PoleError(f"strict mode: color at vertex {v!r} is an integer")
+            if pole:
+                raise PoleError(f"modified dimension has a pole at integer color {a[v]}")
+            if d == 0:
+                num, den = num * mpmath.sin(c.pi * x / r), den * sin_pi
+            elif d >= 2:
+                den *= mpmath.sin(c.pi * x / r) ** (d - 1)
+                if quotient:
+                    two_i_exp += d - 1
+                else:
+                    num *= sin_pi ** (d - 1)
+        phase.add_real(-framing_sum * (r - 1) ** 2, -1)
+        for u, w in graph.edges:
+            phase.add_product(parts(a[u]), parts(a[w]))
+        den *= c.two_i**two_i_exp
+        # ((-1)^(r-1) r)^(|E| + sum_{deg(v)!=1} (1-deg(v))); on a tree that is |V|-|E| = 1
+        return phase.value(nctx) * (r_sign(r) * r) * num / den
+
+
 def rn_plumbed_numeric(nctx: NumericContext, graph: PlumbedGraph, colors, strict: bool = False):
     """Closed-form re-normalized invariant at complex colors, in normal form::
 
         ((-1)^(r-1) r)^|E| * q^Phi * prod_{deg(v)!=1} mod_dim(alpha_v)^(1-deg(v)),
         Phi = sum_v f_v (alpha_v^2 - (r-1)^2)/2 + sum_edges alpha_u alpha_w
 
-    Every color, after mpmathify at the working precision, is a pair of
-    dyadic rationals, so Phi is summed exactly in integers
-    (:class:`~qplumb.numeric.DyadicPhase`); its real part is reduced mod 2r
-    before the one exponential, so large framings cost no accuracy.
+    Phi is summed exactly in integers (:class:`~qplumb.numeric.DyadicPhase`)
+    and reduced mod 2r before the one exponential, so large framings cost no
+    accuracy.  In mod_dim(alpha) = (-1)^(r-1) r sin(pi alpha/r) / sin(pi alpha)
+    the 2i of {alpha} and {r*alpha} cancel: each modified dimension takes two
+    sines, one of them the pole check's, the (-1)^(r-1) r factors fold into
+    one integer, and the product takes one division at the end.
 
-    Vertices of degree != 1 contribute mod_dim(alpha)^(1-degree), so an
-    integer color there sits on the singular set and raises
+    An integer color at a vertex of degree != 1 is a pole and raises
     :class:`PoleError`.  With ``strict=True`` every color must stay off the
-    integers, matching the typicality hypothesis of the construction.
+    integers (the typicality hypothesis); leaves then take one sine each.
     """
-    a = _color_map(colors)
-    if strict:
-        for v in graph.vertices:
-            if is_pole(nctx, a[v]):
-                raise PoleError(f"strict mode: color at vertex {v!r} is an integer")
-    r = nctx.r
-    with nctx.workprec():
-        phase = DyadicPhase()
-        parts = phase.parts
-        framing_sum = 0
-        dims = mpmath.mpc(1)
-        for v, f in zip(graph.vertices, graph.framings):
-            av = parts(a[v])
-            if f:
-                phase.add_product(av, av, f, -1)
-                framing_sum += f
-            d = graph.degree(v)
-            if d == 0:
-                dims = dims * mod_dim(nctx, a[v])
-            elif d >= 2:
-                dims = dims / mod_dim(nctx, a[v]) ** (d - 1)
-        phase.add_real(-framing_sum * (r - 1) ** 2, -1)
-        for u, w in graph.edges:
-            phase.add_product(parts(a[u]), parts(a[w]))
-        scalar = mpmath.mpf((r_sign(r) * r) ** len(graph.edges))
-        return +(phase.value(nctx) * scalar * dims)
+    return _rn_normal_form(nctx, graph, colors, strict, False)
 
 
 def rn_plumbed_recursive(nctx: NumericContext, graph: PlumbedGraph, colors):
@@ -289,41 +290,39 @@ def rn_plumbed_recursive(nctx: NumericContext, graph: PlumbedGraph, colors):
     closed form.  It multiplies the factors one by one, with unreduced
     phases, independently of the closed form's exact phase sum."""
     a = _color_map(colors)
+    r, fr = nctx.r, graph.framing
     with nctx.workprec():
+        c = _consts(nctx.precision_bits)
         if not graph.edges:
             v = graph.vertices[0]
-            return +(rn_twist(nctx, a[v], graph.framing[v]) * mod_dim(nctx, a[v]))
+            return _rn_twist_at(c, r, a[v], fr[v]) * mod_dim(nctx, a[v])
         order = graph.edge_order()
         u0, w0 = order[0]
         val = (
-            rn_twist(nctx, a[u0], graph.framing[u0])
-            * rn_twist(nctx, a[w0], graph.framing[w0])
-            * rn_hopf(nctx, a[u0], a[w0])
+            _rn_twist_at(c, r, a[u0], fr[u0])
+            * _rn_twist_at(c, r, a[w0], fr[w0])
+            * _rn_hopf_at(c, r, a[u0], a[w0])
         )
         # the order is breadth-first, so the edges leaving one vertex are
         # contiguous and each attachment vertex needs one modified dimension
         last_u, dim_u = object(), None
         for u, w in order[1:]:
-            hop = rn_twist(nctx, a[w], graph.framing[w]) * rn_hopf(nctx, a[u], a[w])
+            hop = _rn_twist_at(c, r, a[w], fr[w]) * _rn_hopf_at(c, r, a[u], a[w])
             if u != last_u:
                 last_u, dim_u = u, mod_dim(nctx, a[u])
             val = val * hop / dim_u
-        return +val
+        return val
 
 
 def rn_quotient_numeric(nctx: NumericContext, graph: PlumbedGraph, colors):
     """The re-normalized invariant divided by prod_{deg(v)>=2} {r*alpha_v}^(deg-1).
 
-    This is the quantity whose limit at integer colors the regularized
-    evaluator computes in closed form; away from the limit points it is an
-    ordinary function of the colors.
+    Its limit at integer colors is what :func:`rn_regularized` computes
+    exactly.  It is formed without dividing by the {r*alpha} = 2i sin(pi alpha)
+    that the product contains: their sines are left out of the product and
+    (2i)^(1-deg(v)) is taken instead, so no cancelling bits are relied on.
     """
-    a = _color_map(colors)
-    with nctx.workprec():
-        val = rn_plumbed_numeric(nctx, graph, a)
-        for v in graph.vertices_of_degree_at_least(2):
-            val = val / brace_c(nctx, nctx.r * mpmath.mpmathify(a[v])) ** (graph.degree(v) - 1)
-        return +val
+    return _rn_normal_form(nctx, graph, colors, False, True)
 
 
 # -- exact regularized limit ---------------------------------------------------
@@ -341,10 +340,8 @@ def rn_regularized(ctx: RootContext, graph: PlumbedGraph, colors) -> CycNumber:
         * prod_{deg(v)>=2} ((-1)^(r-1) r {x_v})^(1-deg(v))
 
     It is evaluated as ((-1)^(r-1) r)^p * zeta^K * prod_a {a}^(e_a): the
-    vertex and edge loop only sums p, K and the exponents e_a, and the value
-    then costs O(r) field operations: one power per distinct brace
-    (O(log |V|) multiplications each), with every inverse brace taken from
-    the table of :func:`brace_inv`.
+    loops only sum p, K and the exponents e_a, and :class:`_BraceMonomial`
+    takes O(r) field operations for the value.
 
     Colors divisible by r make {x_v} vanish and raise :class:`PoleError`.
     """
@@ -399,7 +396,8 @@ def _term_weight(graph: PlumbedGraph, eps) -> int:
     """Sign weight of one term of the identity's right-hand side: the product
     of the edge signs times the accumulated path sign at each vertex of
     degree >= 2 raised to (degree - 1).  The second factor undoes the sign
-    the brace denominators acquire at the flipped limit point."""
+    the brace denominators acquire at the flipped limit point; it makes every
+    edge's contribution local to that edge, hence independent of the base."""
     w = eps.sign_product
     path_signs = eps.path_signs(graph)
     for v in graph.vertices_of_degree_at_least(2):
@@ -459,13 +457,6 @@ def theorem_check(ctx: RootContext, graph: PlumbedGraph, colors) -> TheoremRepor
     rhs = theorem_rhs(ctx, graph, x)
     equal = lhs == rhs
     lhs_numeric = complex(to_complex(lhs))
-    return TheoremReport(
-        r=ctx.r,
-        x=dict(x),
-        lhs=lhs,
-        rhs=rhs,
-        equal=equal,
-        lhs_numeric=lhs_numeric,
-        # equal values have equal coefficients, so their embeddings agree bit for bit
-        rhs_numeric=lhs_numeric if equal else complex(to_complex(rhs)),
-    )
+    # equal values have equal coefficients, so their embeddings agree bit for bit
+    rhs_numeric = lhs_numeric if equal else complex(to_complex(rhs))
+    return TheoremReport(ctx.r, dict(x), lhs, rhs, equal, lhs_numeric, rhs_numeric)

@@ -1,16 +1,16 @@
 """Floating-point complex evaluation of q-powers, braces and modified dimensions.
 
-This is the generic-color companion of :mod:`qplumb.cyclotomic`: colors are
-arbitrary complex numbers, q^z = exp(pi*i*z/r), and everything is computed
-with mpmath at the context's working precision (53 bits, i.e. double, by
-default).  It is the lane used for limit experiments and for cross-checking
-the exact evaluators.
+The generic-color companion of :mod:`qplumb.cyclotomic`: colors are complex,
+q^z = exp(pi*i*z/r), and everything is computed with mpmath at the context's
+working precision (53 bits by default).  It serves limit experiments and
+cross-checks of the exact evaluators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from types import SimpleNamespace
 
 import mpmath
 
@@ -26,10 +26,10 @@ class NumericContext:
     tolerance: float | None = None
 
     def __post_init__(self):
-        if isinstance(self.r, bool) or not isinstance(self.r, int) or self.r < 2:
-            raise ValueError(f"r must be an integer >= 2, got {self.r!r}")
-        if self.precision_bits < 53:
-            raise ValueError("precision_bits must be at least 53")
+        for name, low in (("r", 2), ("precision_bits", 53)):
+            n = getattr(self, name)
+            if isinstance(n, bool) or not isinstance(n, int) or n < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {n!r}")
         if self.tolerance is None:
             # relative 1e-9 at double precision, 10^-(bits/8) beyond
             tol = 1e-9 if self.precision_bits == 53 else 10.0 ** -(self.precision_bits / 8)
@@ -46,63 +46,82 @@ def r_sign(r: int) -> int:
     return -1 if (r - 1) % 2 else 1
 
 
+@lru_cache(maxsize=None)
+def _consts(bits: int) -> SimpleNamespace:
+    """pi, i*pi, 2i and the pole guard 10^(-bits/4) at ``bits``, for the _*_at
+    helpers: they take mpmath numbers and run in the caller's ``workprec``."""
+    with mpmath.workprec(bits):
+        ipi, guard = mpmath.mpc(0, 1) * mpmath.pi, mpmath.mpf(10) ** (-(bits / 4))
+        return SimpleNamespace(pi=+mpmath.pi, ipi=ipi, two_i=mpmath.mpc(0, 2), guard=guard)
+
+
+def _q_pow_at(c, r: int, z):
+    return mpmath.exp(c.ipi * z / r)
+
+
+def _brace_at(c, r: int, z):
+    return c.two_i * mpmath.sin(c.pi * z / r)
+
+
+def _sin_pi_at(c, a):
+    """sin(pi*a), and whether a lies in the pole guard band."""
+    s = mpmath.sin(c.pi * a)
+    return s, abs(s) < c.guard * max(1, abs(a))
+
+
 def q_pow(ctx: NumericContext, z) -> mpmath.mpc:
     """q^z = exp(pi*i*z/r) for any complex z."""
     with ctx.workprec():
-        return +mpmath.exp(mpmath.mpc(0, 1) * mpmath.pi * mpmath.mpmathify(z) / ctx.r)
+        return _q_pow_at(_consts(ctx.precision_bits), ctx.r, mpmath.mpmathify(z))
 
 
 def brace_c(ctx: NumericContext, z) -> mpmath.mpc:
     """{z} = q^z - q^{-z} = 2i sin(pi z / r)."""
     with ctx.workprec():
-        return +(mpmath.mpc(0, 2) * mpmath.sin(mpmath.pi * mpmath.mpmathify(z) / ctx.r))
+        return _brace_at(_consts(ctx.precision_bits), ctx.r, mpmath.mpmathify(z))
 
 
 def qint_c(ctx: NumericContext, z) -> mpmath.mpc:
     """[z] = {z}/{1}."""
     with ctx.workprec():
-        return +(brace_c(ctx, z) / brace_c(ctx, 1))
-
-
-@lru_cache(maxsize=None)
-def _pole_guard(bits: int) -> mpmath.mpf:
-    with mpmath.workprec(bits):
-        return mpmath.mpf(10) ** (-(bits / 4))
+        c = _consts(ctx.precision_bits)
+        return _brace_at(c, ctx.r, mpmath.mpmathify(z)) / _brace_at(c, ctx.r, mpmath.mpf(1))
 
 
 def is_pole(ctx: NumericContext, alpha) -> bool:
-    """Whether alpha falls in the guard band around the integers.
-
-    The singular set of the modified dimension is where sin(pi*alpha)
-    vanishes; the band width scales with both the working precision and the
-    magnitude of alpha so that classification stays robust for large colors.
+    """Whether alpha falls in the guard band around the integers, where
+    sin(pi*alpha) vanishes; the band scales with the precision and with |alpha|.
     """
     with ctx.workprec():
-        a = mpmath.mpmathify(alpha)
-        guard = _pole_guard(ctx.precision_bits)
-        return abs(mpmath.sin(mpmath.pi * a)) < guard * max(1, abs(a))
+        return _sin_pi_at(_consts(ctx.precision_bits), mpmath.mpmathify(alpha))[1]
 
 
 def mod_dim(ctx: NumericContext, alpha) -> mpmath.mpc:
     """Modified quantum dimension (-1)^(r-1) * r * {alpha} / {r*alpha}.
 
     Defined away from the integers; integer alpha (within the precision guard
-    band) raises :class:`PoleError` since {r*alpha} vanishes there.
+    band) raises :class:`PoleError` since {r*alpha} vanishes there.  Three
+    sines; the closed forms use {r*alpha} = 2i sin(pi*alpha) and take two.
     """
-    if is_pole(ctx, alpha):
-        raise PoleError(f"modified dimension has a pole at integer color {alpha}")
     with ctx.workprec():
-        return +(r_sign(ctx.r) * ctx.r * brace_c(ctx, alpha) / brace_c(ctx, ctx.r * mpmath.mpmathify(alpha)))
+        c, r, a = _consts(ctx.precision_bits), ctx.r, mpmath.mpmathify(alpha)
+        if _sin_pi_at(c, a)[1]:
+            raise PoleError(f"modified dimension has a pole at integer color {alpha}")
+        return r_sign(r) * r * _brace_at(c, r, a) / _brace_at(c, r, r * a)
+
+
+def _dyadic_sum(m0: int, e0: int, m: int, e: int) -> tuple[int, int]:
+    """m0*2^e0 + m*2^e, exactly, as (mantissa, exponent)."""
+    return (m0 + (m << (e - e0)), e0) if e >= e0 else ((m0 << (e0 - e)) + m, e)
 
 
 class DyadicPhase:
     """An exact complex exponent Phi of q^Phi = exp(pi*i*Phi/r).
 
-    A binary float is a dyadic rational, so sums of products of colors are
-    kept exactly: each part of Phi is one signed integer mantissa over a
-    running binary exponent.  :meth:`value` reduces the real part mod 2r
-    (q^(2r) = 1) before it rounds anything, so the value is accurate however
-    large the framings, and then evaluates one exponential.
+    Binary floats are dyadic rationals, so sums of products of colors are kept
+    exactly: each part of Phi is one signed integer mantissa over a running
+    binary exponent.  :meth:`value` reduces the real part mod 2r (q^(2r) = 1)
+    before it rounds anything, then evaluates one exponential.
     """
 
     __slots__ = ("re_man", "re_exp", "im_man", "im_exp")
@@ -112,10 +131,8 @@ class DyadicPhase:
 
     @staticmethod
     def parts(z) -> tuple[int, int, int, int]:
-        """z after mpmathify at the working precision, exactly, as
+        """z after mpmathify at the working precision, exactly, as signed
         (re_man, re_exp, im_man, im_exp): re_man*2^re_exp + i*im_man*2^im_exp.
-
-        mpmath keeps the sign apart from the mantissa; it is folded in here.
         Infinities and NaN raise ValueError.
         """
         v = mpmath.mpmathify(z)
@@ -130,19 +147,11 @@ class DyadicPhase:
 
     def add_real(self, man: int, exp: int) -> None:
         """Phi += man * 2^exp."""
-        if exp >= self.re_exp:
-            self.re_man += man << (exp - self.re_exp)
-        else:
-            self.re_man = (self.re_man << (self.re_exp - exp)) + man
-            self.re_exp = exp
+        self.re_man, self.re_exp = _dyadic_sum(self.re_man, self.re_exp, man, exp)
 
     def add_imag(self, man: int, exp: int) -> None:
         """Phi += i * man * 2^exp."""
-        if exp >= self.im_exp:
-            self.im_man += man << (exp - self.im_exp)
-        else:
-            self.im_man = (self.im_man << (self.im_exp - exp)) + man
-            self.im_exp = exp
+        self.im_man, self.im_exp = _dyadic_sum(self.im_man, self.im_exp, man, exp)
 
     def add_product(self, a, b, c: int = 1, shift: int = 0) -> None:
         """Phi += c * 2^shift * a * b, for ``a`` and ``b`` given by :meth:`parts`."""
@@ -158,7 +167,8 @@ class DyadicPhase:
             self.add_imag(c * aim * bm, aie + be + shift)
 
     def value(self, ctx: NumericContext) -> mpmath.mpc:
-        """q^Phi, rounded once to the working precision.
+        """q^Phi, rounded once to ``ctx``'s working precision, which the
+        caller holds with ``ctx.workprec()``.
 
         Re Phi is reduced mod 2r exactly.  Each part is rounded once, with as
         many guard bits as |Im Phi| has integer bits, so the one exponential
@@ -174,20 +184,18 @@ class DyadicPhase:
         with mpmath.workprec(ctx.precision_bits + guard):
             phi = mpmath.mpc(mpmath.mpf((man, exp)), mpmath.mpf((self.im_man, self.im_exp)))
             val = mpmath.expjpi(phi / ctx.r)
-        with ctx.workprec():
-            return +val
+        return +val
 
 
 def qdim_typical_check(ctx: NumericContext, alpha) -> mpmath.mpc:
     """Pivotal trace of K^(r-1) on the r-dimensional module of weight alpha.
 
-    Vanishes identically (the geometric sum over the weights telescopes to
-    zero), which is exactly why the modified dimension is needed; returned
-    unsimplified so tests can confirm the cancellation numerically.
+    It vanishes identically, which is why the modified dimension is needed;
+    it is summed term by term so tests can confirm the cancellation.
     """
     with ctx.workprec():
-        a = mpmath.mpmathify(alpha)
+        c, r, a = _consts(ctx.precision_bits), ctx.r, mpmath.mpmathify(alpha)
         total = mpmath.mpc(0)
-        for i in range(ctx.r):
-            total += q_pow(ctx, (ctx.r - 1) * (a + ctx.r - 1 - 2 * i))
-        return +total
+        for i in range(r):
+            total += _q_pow_at(c, r, (r - 1) * (a + r - 1 - 2 * i))
+        return total

@@ -220,6 +220,12 @@ def apply_signs(graph: PlumbedGraph, colors: ColorVector, signs: SignAssignment)
 
 def parse_graph(text: str) -> PlumbedGraph:
     """Parse the JSON graph format, with location-bearing error messages."""
+    # the decoded document is freed before the graph and its caches are built
+    return PlumbedGraph.build(*_graph_fields(text))
+
+
+def _graph_fields(text: str) -> tuple[dict[str, int], list[tuple[str, str]], str]:
+    """The framing map, edge pairs and base vertex of a JSON graph document."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -257,7 +263,7 @@ def parse_graph(text: str) -> PlumbedGraph:
     base = data.get("base", order[0])
     if not isinstance(base, str):
         raise GraphFormatError("'base' must be a vertex id string")
-    return PlumbedGraph.build(framings, edges, base)
+    return framings, edges, base
 
 
 def serialize_graph(graph: PlumbedGraph) -> str:

@@ -50,6 +50,11 @@ class TestContext:
         with pytest.raises(ValueError):
             NumericContext(True)
 
+    @pytest.mark.parametrize("bits", [80.5, "80", True, 52])
+    def test_rejects_non_integer_precision_bits(self, bits):
+        with pytest.raises(ValueError, match="precision_bits must be an integer >= 53"):
+            NumericContext(3, precision_bits=bits)
+
 
 class TestQPow:
     def test_zero(self):
