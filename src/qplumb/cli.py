@@ -11,8 +11,10 @@ Subcommands::
 
 Output is a single JSON document (or CSV with --format csv), byte-identical
 across runs for a fixed invocation and seed.  It is streamed to stdout or the
---out file once every record has been computed.  Exit codes: 0 success,
-1 usage error, 2 input/validation error, 3 at least one check failed.
+--out file once every record has been computed.  check-theorem and sweep take
+--stats, which then writes one JSON line of run statistics to stderr.  Exit
+codes: 0 success, 1 usage error, 2 input/validation error, 3 at least one
+check failed.
 """
 
 from __future__ import annotations
@@ -25,10 +27,12 @@ import os
 import random
 import re
 import sys
+import time
 
 from .cyclotomic import CycNumber, make_context, to_complex
 from .errors import CapacityError, GraphFormatError, PoleError
 from .invariants import (
+    _normal_form_value,
     rn_plumbed_numeric,
     rn_regularized,
     rt_plumbed,
@@ -56,6 +60,13 @@ class _Parser(argparse.ArgumentParser):
 def _fmt_complex(z) -> str:
     z = complex(z)
     return f"{z.real:.12g}{z.imag:+.12g}i"
+
+
+class _SharedValue(dict):
+    """A JSON object that several records hold; :func:`_write_json` renders
+    it once per indentation and repeats the text."""
+
+    __slots__ = ()
 
 
 def _cyc_json(x: CycNumber, bits: int, approx53: complex | None = None) -> dict:
@@ -131,7 +142,18 @@ def _load_graph_arg(args) -> PlumbedGraph:
     return graph
 
 
-def _theorem_record(ctx, graph, graph_name, x, bits, negate=False):
+def _value_block(blocks: dict, x: CycNumber, bits: int, approx53: complex) -> _SharedValue:
+    """The JSON form of ``x``, one shared object per (value, bits, approx)
+    in ``blocks``, a dict that lives for one run.  r leads the key, so values
+    of different r are never compared, which ``CycNumber ==`` refuses."""
+    key = (x.ctx.r, x, bits, _fmt_complex(approx53))
+    block = blocks.get(key)
+    if block is None:
+        block = blocks[key] = _SharedValue(_cyc_json(x, bits, approx53))
+    return block
+
+
+def _theorem_record(ctx, graph, graph_name, x, bits, blocks, negate=False):
     rep = theorem_check(ctx, graph, x)
     rhs, rhs_numeric = rep.rhs, rep.rhs_numeric
     if negate:
@@ -145,8 +167,8 @@ def _theorem_record(ctx, graph, graph_name, x, bits, negate=False):
         "base": graph.base,
         "x": {v: x[v] for v in graph.vertices},
         "equal": equal,
-        "lhs": _cyc_json(rep.lhs, bits, rep.lhs_numeric),
-        "rhs": _cyc_json(rhs, bits, rhs_numeric),
+        "lhs": _value_block(blocks, rep.lhs, bits, rep.lhs_numeric),
+        "rhs": _value_block(blocks, rhs, bits, rhs_numeric),
         "lhs_numeric": _fmt_complex(rep.lhs_numeric),
         "rhs_numeric": _fmt_complex((-1 if negate else 1) * rep.rhs_numeric),
     }
@@ -204,7 +226,7 @@ def _run_compute_ado(args):
 def _run_check_theorem(args):
     graph = _load_graph_arg(args)
     rng = random.Random(args.seed)
-    records = []
+    records, blocks = [], {}
     for r in _parse_r_spec(args.r):
         ctx = make_context(r)
         if args.colors and args.colors != "all":
@@ -213,7 +235,9 @@ def _run_check_theorem(args):
             grid = _color_grid(graph, r, rng)
         for x in grid:
             records.append(
-                _theorem_record(ctx, graph, args.graph, x, args.precision, args.negate_prefactor)
+                _theorem_record(
+                    ctx, graph, args.graph, x, args.precision, blocks, args.negate_prefactor
+                )
             )
     failed = any(not rec["equal"] for rec in records)
     return records, failed
@@ -225,7 +249,7 @@ def _run_sweep(args):
     lo, hi = args.framing_min, args.framing_max
     if lo > hi:
         raise ValueError("framing range is empty")
-    records = []
+    records, blocks = [], {}
     n_verts = len(graph.vertices)
     for r in _parse_r_spec(args.r):
         ctx = make_context(r)
@@ -243,7 +267,7 @@ def _run_sweep(args):
         for framings in framing_grid:
             g = _apply_framings(graph, framings)
             for x in _color_grid(g, r, rng):
-                rec = _theorem_record(ctx, g, args.graph, x, args.precision)
+                rec = _theorem_record(ctx, g, args.graph, x, args.precision, blocks)
                 rec["framings"] = framings
                 records.append(rec)
     failed = any(not rec["equal"] for rec in records)
@@ -313,17 +337,33 @@ def _write_json(doc, write) -> None:
     is never held at once.
 
     Strings, ints and non-empty dicts and lists are laid out here; any other
-    value (bool, None, an empty container) is one line from json.dumps.
+    value (bool, None, an empty container) is one line from json.dumps.  A
+    :class:`_SharedValue` is laid out once per indentation; later occurrences
+    at that indentation repeat its text.
     """
     pieces = []
     encode = json.encoder.encode_basestring_ascii
+    shared = {}  # (id, newline) -> text; the document keeps every id alive
+    holding = 0  # shared values being laid out, whose pieces must stay in place
 
     def walk(o, newline):
+        nonlocal holding
         kind = type(o)
         if kind is str:
             pieces.append(encode(o))
         elif kind is int:
             pieces.append(int.__repr__(o))
+        elif kind is _SharedValue and o:
+            key = (id(o), newline)
+            text = shared.get(key)
+            if text is None:
+                start = len(pieces)
+                holding += 1
+                walk(dict(o), newline)
+                holding -= 1
+                text = shared[key] = "".join(pieces[start:])
+                del pieces[start:]
+            pieces.append(text)
         elif kind is dict and o:
             inner = newline + "  "
             sep = "{" + inner
@@ -344,7 +384,7 @@ def _write_json(doc, write) -> None:
             pieces.append(newline + "]")
         else:
             pieces.append(json.dumps(o))
-        if len(pieces) >= _FLUSH_PIECES:
+        if len(pieces) >= _FLUSH_PIECES and not holding:
             write("".join(pieces))
             pieces.clear()
 
@@ -370,6 +410,17 @@ def _csv_cell(value):
     if isinstance(value, list):
         return ";".join(str(v) for v in value)
     return value
+
+
+def _count(text: str) -> int:
+    """A sample count: an integer >= 0; anything else is a usage error."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"need an integer >= 0, got {text!r}")
+    return n
 
 
 def build_parser() -> _Parser:
@@ -420,10 +471,15 @@ def build_parser() -> _Parser:
     p_sweep = command("sweep", "check-theorem over a parameter grid", r_spec)
     p_sweep.add_argument("--framing-min", type=int, default=-2)
     p_sweep.add_argument("--framing-max", type=int, default=2)
-    p_sweep.add_argument("--framing-samples", type=int, default=20)
+    p_sweep.add_argument("--framing-samples", type=_count, default=20)
+
+    for p in (p_check, p_sweep):
+        p.add_argument(
+            "--stats", action="store_true", help="write run statistics as JSON to stderr"
+        )
 
     p_rel = command("check-relations", "verify module-action relations", r_spec, graph=False)
-    p_rel.add_argument("--samples", type=int, default=50, help="random weights per r")
+    p_rel.add_argument("--samples", type=_count, default=50, help="random weights per r")
 
     return parser
 
@@ -471,17 +527,53 @@ def main(argv=None) -> int:
             args.r = rs[0]
         if args.precision < 53:
             raise ValueError("--precision must be at least 53")
+        stats = getattr(args, "stats", False)
+        memos = _memo_counts() if stats else None
+        t0 = time.perf_counter()
         records, failed = _RUNNERS[args.command](args)
+        t1 = time.perf_counter()
         # every record is computed before the first byte is written
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 _emit(args, records, fh)
         else:
             _emit(args, records, sys.stdout)
+        if stats:
+            sys.stdout.flush()
+            _write_stats(args, records, t1 - t0, time.perf_counter() - t1, memos)
     except (GraphFormatError, CapacityError, PoleError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     return EXIT_CHECK_FAILED if failed else EXIT_OK
+
+
+def _memo_counts() -> dict:
+    """``cache_info()`` so far of the normal-form memo and of ``to_complex``."""
+    return {
+        "normal_form_memo": _normal_form_value.cache_info(),
+        "to_complex": to_complex.cache_info(),
+    }
+
+
+def _write_stats(args, records, compute_s, emit_s, memos_before) -> None:
+    """One JSON line on stderr: the rational backend, the precision, the wall
+    seconds of computing and of emitting the records, and the hits and misses
+    in this run of the normal-form memo, the shared JSON values and
+    ``to_complex``."""
+    coeff = type(make_context(2).one.coeffs[0])
+    blocks = 2 * len(records)
+    distinct = len({id(rec[side]) for rec in records for side in ("lhs", "rhs")})
+    stats = {
+        "backend": f"{coeff.__module__}.{coeff.__qualname__}",
+        "precision_bits": args.precision,
+        "compute_s": round(compute_s, 6),
+        "emit_s": round(emit_s, 6),
+        "shared_values": {"hits": blocks - distinct, "misses": distinct},
+    }
+    for name, info in _memo_counts().items():
+        before = memos_before[name]
+        stats[name] = {"hits": info.hits - before.hits, "misses": info.misses - before.misses}
+    print(json.dumps(stats, sort_keys=True), file=sys.stderr)
 
 
 if __name__ == "__main__":

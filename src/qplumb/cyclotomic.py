@@ -13,7 +13,6 @@ fractions.Fraction; no floating point enters any exact operation.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import zip_longest
@@ -22,6 +21,7 @@ from numbers import Rational
 
 import mpmath
 
+from ._record import FrozenRecord
 from .errors import PoleError
 
 _ZERO = Fraction(0)
@@ -62,18 +62,22 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     return tuple(num)
 
 
-@dataclass(frozen=True)
-class RootContext:
+class RootContext(FrozenRecord):
     """Order parameter r >= 2 together with the precomputed data for Q(zeta_{4r})."""
 
-    r: int
+    _fields = ("r",)
 
-    def __post_init__(self):
-        if not isinstance(self.r, int) or self.r < 2:
+    def __init__(self, r: int):
+        if not isinstance(r, int) or r < 2:
             raise ValueError(
-                f"r must be an integer >= 2, got {self.r!r} "
+                f"r must be an integer >= 2, got {r!r} "
                 "(r = 1 makes the normalizing factor {1} = q - 1/q vanish)"
             )
+        self._set(r)
+
+    # every lru_cache keyed by a context hashes it on each call
+    def __hash__(self):
+        return hash((self.r,))
 
     @property
     def conductor(self) -> int:

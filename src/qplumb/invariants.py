@@ -16,11 +16,12 @@ weighted as :func:`_term_weight` describes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 
+from ._record import Record
 from .cyclotomic import CycNumber, RootContext, brace, brace_inv, inv_brace_one, to_complex, zeta_pow
 from .errors import PoleError
 from .numeric import DyadicPhase, NumericContext, _consts, _q_pow_at, _sin_pi_at, mod_dim, r_sign
@@ -106,7 +107,8 @@ class _BraceMonomial:
     """The value +-c * zeta^K * prod_a {a}^(e_a), kept as integers and one rational.
 
     Factors are added with integer bookkeeping only; :meth:`value` then does
-    one ``zeta_pow``, one power per distinct brace and one rational scaling.
+    one ``zeta_pow``, one power per distinct brace and one rational scaling,
+    or finds the same normal form in :func:`_normal_form_value`'s memo.
     Brace arguments are normalized with {a + r} = -{a} and {r - a} = {a}, so
     at most r/2 + 1 distinct braces remain.
     """
@@ -139,13 +141,26 @@ class _BraceMonomial:
         ctx = self.ctx
         if self.exps.get(0, 0) > 0:  # {0} = 0; callers raise on negative powers first
             return ctx.zero
-        val = zeta_pow(ctx, self.zeta_exp)
-        for a, e in self.exps.items():
-            if e > 0:
-                val = val * brace(ctx, a) ** e
-            elif e < 0:
-                val = val * brace_inv(ctx, a) ** -e
-        return val.scale(-self.scalar if self.negative else self.scalar)
+        return _normal_form_value(
+            ctx,
+            self.zeta_exp % ctx.conductor,
+            -self.scalar if self.negative else self.scalar,
+            tuple(sorted(item for item in self.exps.items() if item[1])),
+        )
+
+
+@lru_cache(maxsize=4096)
+def _normal_form_value(ctx: RootContext, zeta_exp: int, scalar, exps: tuple) -> CycNumber:
+    """c * zeta^K * prod_a {a}^(e_a) for K = ``zeta_exp`` and the sorted nonzero
+    (a, e_a) pairs ``exps``.  The last 4096 normal forms are kept, so the
+    values that the sign terms and records of one run repeat are computed once."""
+    val = zeta_pow(ctx, zeta_exp)
+    for a, e in exps:
+        if e > 0:
+            val = val * brace(ctx, a) ** e
+        else:
+            val = val * brace_inv(ctx, a) ** -e
+    return val.scale(scalar)
 
 
 def rt_plumbed(ctx: RootContext, graph: PlumbedGraph, colors) -> CycNumber:
@@ -406,6 +421,16 @@ def _term_weight(graph: PlumbedGraph, eps) -> int:
     return w
 
 
+def _check_identity_colors(ctx: RootContext, colors) -> dict:
+    x = _color_map(colors)
+    for v, xv in x.items():
+        if not _is_int(xv) or not 1 <= xv <= ctx.r - 1:
+            raise ValueError(
+                f"identity colors must be integers in 1..{ctx.r - 1}, got {xv!r} at {v!r}"
+            )
+    return x
+
+
 def theorem_rhs(ctx: RootContext, graph: PlumbedGraph, colors) -> CycNumber:
     """Right-hand side of the main identity: the prefactor times the weighted
     sum of regularized values over all 2^|E| edge-sign assignments.
@@ -413,12 +438,7 @@ def theorem_rhs(ctx: RootContext, graph: PlumbedGraph, colors) -> CycNumber:
     Exact arithmetic makes the sum order-independent; the enumeration order
     is fixed for determinism only.
     """
-    x = _color_map(colors)
-    for v, xv in x.items():
-        if not _is_int(xv) or not 1 <= xv <= ctx.r - 1:
-            raise ValueError(
-                f"identity colors must be integers in 1..{ctx.r - 1}, got {xv!r} at {v!r}"
-            )
+    x = _check_identity_colors(ctx, colors)
     base_colors = ColorVector.exact(x)
     total = ctx.zero
     for eps in enumerate_signs(graph):
@@ -429,17 +449,23 @@ def theorem_rhs(ctx: RootContext, graph: PlumbedGraph, colors) -> CycNumber:
     return theorem_prefactor(ctx, graph, x) * total
 
 
-@dataclass
-class TheoremReport:
+class TheoremReport(Record):
     """Outcome of one exact identity check."""
 
-    r: int
-    x: dict
-    lhs: CycNumber
-    rhs: CycNumber
-    equal: bool
-    lhs_numeric: complex
-    rhs_numeric: complex
+    _fields = ("r", "x", "lhs", "rhs", "equal", "lhs_numeric", "rhs_numeric")
+
+    def __init__(
+        self,
+        r: int,
+        x: dict,
+        lhs: CycNumber,
+        rhs: CycNumber,
+        equal: bool,
+        lhs_numeric: complex,
+        rhs_numeric: complex,
+    ):
+        self.r, self.x, self.lhs, self.rhs = r, x, lhs, rhs
+        self.equal, self.lhs_numeric, self.rhs_numeric = equal, lhs_numeric, rhs_numeric
 
 
 def theorem_check(ctx: RootContext, graph: PlumbedGraph, colors) -> TheoremReport:
@@ -451,7 +477,7 @@ def theorem_check(ctx: RootContext, graph: PlumbedGraph, colors) -> TheoremRepor
     """
     if not graph.edges:
         raise ValueError("the identity check needs a graph with at least one edge")
-    x = _color_map(colors)
+    x = _check_identity_colors(ctx, colors)
     rt_colors = {v: ctx.r - 1 - x[v] for v in graph.vertices}
     lhs = rt_plumbed(ctx, graph, rt_colors)
     rhs = theorem_rhs(ctx, graph, x)

@@ -8,34 +8,30 @@ cross-checks of the exact evaluators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from types import SimpleNamespace
 
 import mpmath
 
+from ._record import FrozenRecord
 from .errors import PoleError
 
 
-@dataclass(frozen=True)
-class NumericContext:
+class NumericContext(FrozenRecord):
     """Order parameter, working precision and comparison tolerance."""
 
-    r: int
-    precision_bits: int = 53
-    tolerance: float | None = None
+    _fields = ("r", "precision_bits", "tolerance")
 
-    def __post_init__(self):
-        for name, low in (("r", 2), ("precision_bits", 53)):
-            n = getattr(self, name)
+    def __init__(self, r: int, precision_bits: int = 53, tolerance: float | None = None):
+        for name, n, low in (("r", r, 2), ("precision_bits", precision_bits, 53)):
             if isinstance(n, bool) or not isinstance(n, int) or n < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {n!r}")
-        if self.tolerance is None:
+        if tolerance is None:
             # relative 1e-9 at double precision, 10^-(bits/8) beyond
-            tol = 1e-9 if self.precision_bits == 53 else 10.0 ** -(self.precision_bits / 8)
-            object.__setattr__(self, "tolerance", tol)
-        elif self.tolerance <= 0:
+            tolerance = 1e-9 if precision_bits == 53 else 10.0 ** -(precision_bits / 8)
+        elif tolerance <= 0:
             raise ValueError("tolerance must be positive")
+        self._set(r, precision_bits, tolerance)
 
     def workprec(self):
         return mpmath.workprec(self.precision_bits)

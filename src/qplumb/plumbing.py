@@ -18,10 +18,10 @@ from __future__ import annotations
 import itertools
 import json
 from collections import deque
-from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterator, Mapping
 
+from ._record import FrozenRecord
 from .errors import CapacityError, GraphFormatError
 
 MAX_EDGES_ENUMERATED = 30
@@ -31,17 +31,20 @@ def _edge_key(u: str, v: str) -> tuple[str, str]:
     return (u, v) if u <= v else (v, u)
 
 
-@dataclass(frozen=True)
-class PlumbedGraph:
+class PlumbedGraph(FrozenRecord):
     """Weighted tree with a base vertex.  Immutable after construction."""
 
-    vertices: tuple[str, ...]
-    framings: tuple[int, ...]
-    edges: tuple[tuple[str, str], ...]
-    base: str
+    _fields = ("vertices", "framings", "edges", "base")
 
-    def __post_init__(self):
-        verts = self.vertices
+    def __init__(
+        self,
+        vertices: tuple[str, ...],
+        framings: tuple[int, ...],
+        edges: tuple[tuple[str, str], ...],
+        base: str,
+    ):
+        self._set(vertices, framings, edges, base)
+        verts = vertices
         if len(set(verts)) != len(verts):
             dupes = sorted({v for v in verts if verts.count(v) > 1})
             raise GraphFormatError(f"duplicate vertex ids: {dupes}")
@@ -132,7 +135,7 @@ class PlumbedGraph:
     def with_base(self, base: str) -> "PlumbedGraph":
         if base not in self.framing:
             raise GraphFormatError(f"unknown vertex {base!r}")
-        return replace(self, base=base)
+        return PlumbedGraph(self.vertices, self.framings, self.edges, base)
 
     def edge_order(self) -> tuple[tuple[str, str], ...]:
         """Edges in breadth-first order from the base; each new edge attaches
@@ -140,16 +143,15 @@ class PlumbedGraph:
         return tuple((p, v) for v, p in itertools.islice(self._parent.items(), 1, None))
 
 
-@dataclass(frozen=True)
-class ColorVector:
+class ColorVector(FrozenRecord):
     """Per-vertex colors: integers (exact lane) or complex numbers (numeric)."""
 
-    mode: str
-    values: Mapping[str, object]
+    _fields = ("mode", "values")
 
-    def __post_init__(self):
-        if self.mode not in ("exact", "numeric"):
-            raise ValueError(f"mode must be 'exact' or 'numeric', got {self.mode!r}")
+    def __init__(self, mode: str, values: Mapping[str, object]):
+        if mode not in ("exact", "numeric"):
+            raise ValueError(f"mode must be 'exact' or 'numeric', got {mode!r}")
+        self._set(mode, values)
 
     @classmethod
     def exact(cls, values: Mapping[str, int]) -> "ColorVector":
@@ -163,11 +165,13 @@ class ColorVector:
         return self.values[v]
 
 
-@dataclass(frozen=True)
-class SignAssignment:
+class SignAssignment(FrozenRecord):
     """A choice of +-1 per edge of a fixed graph."""
 
-    signs: Mapping[tuple[str, str], int]
+    _fields = ("signs",)
+
+    def __init__(self, signs: Mapping[tuple[str, str], int]):
+        self._set(signs)
 
     def __getitem__(self, edge: tuple[str, str]) -> int:
         return self.signs[_edge_key(*edge)]

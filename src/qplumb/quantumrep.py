@@ -13,10 +13,9 @@ the relation it violates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import mpmath
 
+from ._record import Record
 from .cyclotomic import RootContext, qint, zeta_pow
 from .numeric import NumericContext, q_pow, qint_c
 
@@ -75,19 +74,29 @@ def _max_abs(m):
     return max((abs(complex(x)) for row in m for x in row), default=0.0)
 
 
-@dataclass
-class ModuleAction:
-    """Matrices of the generators acting on one highest-weight module."""
+class ModuleAction(Record):
+    """Matrices of the generators acting on one highest-weight module.
 
-    kind: str  # "simple" or "verma"
-    param: object  # n for simple, alpha for verma
-    dim: int
-    E: list
-    F: list
-    K: list
-    Kinv: list
-    H: list | None = None
-    ctx: object = None  # RootContext (simple) or NumericContext (verma)
+    ``kind`` is "simple" or "verma", ``param`` is n for simple and alpha for
+    verma, and ``ctx`` is a RootContext (simple) or a NumericContext (verma).
+    """
+
+    _fields = ("kind", "param", "dim", "E", "F", "K", "Kinv", "H", "ctx")
+
+    def __init__(
+        self,
+        kind: str,
+        param: object,
+        dim: int,
+        E: list,
+        F: list,
+        K: list,
+        Kinv: list,
+        H: list | None = None,
+        ctx: object = None,
+    ):
+        self.kind, self.param, self.dim = kind, param, dim
+        self.E, self.F, self.K, self.Kinv, self.H, self.ctx = E, F, K, Kinv, H, ctx
 
     @property
     def is_exact(self) -> bool:
@@ -147,18 +156,20 @@ def verma_module(nctx: NumericContext, alpha) -> ModuleAction:
     return ModuleAction("verma", alpha, r, E, F, K, Kinv, H=H, ctx=nctx)
 
 
-@dataclass
-class RelationCheck:
-    name: str
-    ok: bool
-    deviation: float  # max |entry| of the defect matrix (0.0 for exact passes)
+class RelationCheck(Record):
+    _fields = ("name", "ok", "deviation")
+
+    def __init__(self, name: str, ok: bool, deviation: float):
+        # deviation: max |entry| of the defect matrix (0.0 for exact passes)
+        self.name, self.ok, self.deviation = name, ok, deviation
 
 
-@dataclass
-class RelationReport:
-    kind: str
-    param: object
-    checks: list[RelationCheck] = field(default_factory=list)
+class RelationReport(Record):
+    _fields = ("kind", "param", "checks")
+
+    def __init__(self, kind: str, param: object, checks: list[RelationCheck] | None = None):
+        self.kind, self.param = kind, param
+        self.checks = [] if checks is None else checks
 
     @property
     def all_ok(self) -> bool:

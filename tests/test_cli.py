@@ -6,6 +6,7 @@ import pathlib
 
 import pytest
 
+from qplumb import cli
 from qplumb.cli import main
 from qplumb.cyclotomic import make_context, to_complex
 from qplumb.invariants import theorem_check
@@ -292,6 +293,27 @@ class TestErrorsAndFormats:
         code, _, _ = run(capsys, "compute-rt", "--r", "1", "--graph", HOPF, "--colors", "0,0")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("sweep", "--r", "3", "--graph", str(GRAPHS / "caterpillar6.json"),
+              "--framing-samples", "-1"), "--framing-samples"),
+            (("check-relations", "--r", "2", "--samples", "-3"), "--samples"),
+        ],
+    )
+    def test_negative_sample_count_is_usage_error(self, capsys, argv, flag):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"usage error: argument {flag}: need an integer >= 0")
+
+    @pytest.mark.parametrize("colors, bad", [("1,4,1", 4), ("1,-1,1", -1)])
+    def test_bad_identity_color_names_the_given_color(self, capsys, colors, bad):
+        code, out, err = run(capsys, "check-theorem", "--r", "4", "--graph", PATH3, "--colors", colors)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: identity colors must be integers in 1..3, got {bad} at 'b'\n"
+
     def test_low_precision_exit_2(self, capsys):
         code, _, _ = run(
             capsys, "compute-rt", "--r", "2", "--graph", HOPF, "--colors", "0,0", "--precision", "10"
@@ -397,3 +419,52 @@ def test_to_complex_embeds_each_distinct_value_once(capsys, monkeypatch):
         fresh = to_complex(value)
         assert fresh is not z
         assert fresh._mpc_ == z._mpc_  # (sign, man, exp, bc) of both parts
+
+
+def test_equal_values_share_one_json_object(capsys, monkeypatch):
+    """One value object per distinct (exact value, approx) of a run."""
+    monkeypatch.chdir(GRAPHS.parent)
+    emitted = []
+    emit = cli._emit
+
+    def capture(args, records, out):
+        emitted.append(records)
+        emit(args, records, out)
+
+    monkeypatch.setattr(cli, "_emit", capture)
+    assert main(["check-theorem", "--r", "8", "--graph", "graphs/hopf.json", "--colors", "all"]) == 0
+    capsys.readouterr()
+    (records,) = emitted
+    blocks = [rec[side] for rec in records for side in ("lhs", "rhs")]
+    distinct = {json.dumps(block, sort_keys=True) for block in blocks}
+    assert len({id(block) for block in blocks}) == len(distinct) < len(blocks) == 98
+
+
+class TestStats:
+    @pytest.mark.parametrize(
+        "argv, bits, records",
+        [
+            (("check-theorem", "--r", "2..5", "--graph", HOPF), 53, 1 + 4 + 9 + 16),
+            (("check-theorem", "--r", "3", "--graph", PATH3, "--format", "csv",
+              "--precision", "80"), 80, 8),
+            (("sweep", "--r", "2..3", "--graph", STAR3, "--seed", "7"), 53, 340),
+        ],
+    )
+    def test_stdout_unchanged_and_one_json_line_on_stderr(self, capsys, argv, bits, records):
+        code, plain, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        code, out, err = run(capsys, *argv, "--stats")
+        assert code == 0
+        assert out == plain
+        lines = err.splitlines()
+        assert len(lines) == 1
+        stats = json.loads(lines[0])
+        assert stats["backend"] == "fractions.Fraction"
+        assert stats["precision_bits"] == bits
+        assert stats["compute_s"] >= 0 and stats["emit_s"] >= 0
+        shared = stats["shared_values"]
+        assert shared["hits"] + shared["misses"] == 2 * records
+        assert shared["misses"] >= 1
+        for memo in ("normal_form_memo", "to_complex"):
+            assert set(stats[memo]) == {"hits", "misses"}
+            assert min(stats[memo].values()) >= 0

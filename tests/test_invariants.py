@@ -13,6 +13,7 @@ import pytest
 from qplumb.cyclotomic import brace, brace_inv, make_context, to_complex, zeta_pow
 from qplumb.errors import PoleError
 from qplumb.invariants import (
+    _normal_form_value,
     rn_hopf,
     rn_plumbed_numeric,
     rn_plumbed_recursive,
@@ -408,6 +409,14 @@ class TestTheorem:
         with pytest.raises(ValueError):
             theorem_check(ctx, g, {"u": 1})
 
+    @pytest.mark.parametrize("bad", [4, -1])
+    def test_bad_identity_color_is_named_as_given(self, bad):
+        # r-1-x would be a bad RT color too; the message names x, not r-1-x
+        graph = load_graph(str(GRAPHS / "path3.json"))
+        message = f"identity colors must be integers in 1..3, got {bad} at 'b'"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            theorem_check(make_context(4), graph, {"a": 1, "b": bad, "c": 1})
+
 
 # -- factor-by-factor oracles for the normal-form evaluators --------------------
 #
@@ -585,3 +594,52 @@ class TestBoolColorsRejected:
         ctx = make_context(3)
         with pytest.raises(ValueError):
             theorem_rhs(ctx, hopf_graph(), {"v1": 1, "v2": True})
+
+
+class TestNormalFormMemo:
+    """rt_plumbed, rn_regularized and theorem_prefactor share one memo of
+    evaluated normal forms; a hit must return what a fresh evaluation does."""
+
+    def test_cold_and_warm_values_agree(self):
+        rng = random.Random(77)
+        for i in range(60):
+            r = 2 + i % 9
+            ctx = make_context(r)
+            graph = random_tree(rng, rng.randint(2, 7), framing_span=3)
+            n = {v: rng.randint(0, r - 2) for v in graph.vertices}
+            x = {v: rng.choice((-1, 1)) * rng.randint(1, r - 1) for v in graph.vertices}
+            xp = {v: rng.randint(1, r - 1) for v in graph.vertices}
+            calls = [
+                (rt_plumbed, n, oracle_rt_plumbed),
+                (rn_regularized, x, oracle_rn_regularized),
+                (theorem_prefactor, xp, oracle_theorem_prefactor),
+            ]
+            for fn, colors, oracle in calls:
+                _normal_form_value.cache_clear()
+                cold = fn(ctx, graph, colors)
+                # a factor {0} gives zero without an evaluation
+                misses = _normal_form_value.cache_info().misses
+                assert misses == (0 if cold.is_zero else 1)
+                warm = fn(ctx, graph, colors)
+                assert _normal_form_value.cache_info().hits == misses
+                assert warm == cold == oracle(ctx, graph, colors)
+
+    def test_memo_stays_within_its_bound(self):
+        _normal_form_value.cache_clear()
+        assert _normal_form_value.cache_info().maxsize == 4096
+        ctx = make_context(5)
+        for k in range(20):
+            for scalar in range(1, 251):  # 5000 distinct normal forms
+                _normal_form_value(ctx, k, scalar, ((1, -1),))
+        info = _normal_form_value.cache_info()
+        assert info.misses == 5000
+        assert info.currsize == 4096
+
+    def test_recursive_oracle_reads_no_memo(self):
+        graph = load_graph(str(GRAPHS / "caterpillar6.json"))
+        ctx = make_context(5)
+        n = {v: 1 + i % 3 for i, v in enumerate(graph.vertices)}
+        expect = rt_plumbed(ctx, graph, n)
+        before = _normal_form_value.cache_info()
+        assert rt_plumbed_recursive(ctx, graph, n) == expect
+        assert _normal_form_value.cache_info() == before

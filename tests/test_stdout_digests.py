@@ -5,10 +5,13 @@ invocation from the checkout root: the first five from the code at commit
 798cd31, before CycNumber moved from Fraction coefficients to integer
 numerators over one denominator; the two numeric `compute-ado` ones from the
 code at commit 6f477b1, before `rn_plumbed_numeric` summed its phase exactly;
-the last four, and the `--out` file, from the code at commit 433192b, before
+the next four, and the `--out` file, from the code at commit 433192b, before
 the JSON and CSV output were streamed to the file and `to_complex` kept its
-recent results.  Any change to an exact value, a numeric embedding or the
-JSON or CSV layout changes a digest.
+recent results; the last four (the two large-r invocations of the benchmark,
+a CSV run and a sweep) from the code at commit 39298ea, before the closed
+forms memoized their normal forms and equal values shared one JSON object.
+Any change to an exact value, a numeric embedding or the JSON or CSV layout
+changes a digest.
 """
 
 import hashlib
@@ -76,6 +79,26 @@ PINNED = [
         "compute-rt --r 7 --graph graphs/star3.json --colors 1,2,3,4 --precision 90",
         0,
         "a0b6be7407791ead32ce23048f709e6a5dae4b0f41ababd527a335e4f0ae3b08",
+    ),
+    (
+        "check-theorem --r 32 --graph graphs/hopf.json --colors all",
+        0,
+        "0d683885133e948df55a3ae969c888b9c36637b0019b74f2f002019b2a45e9d5",
+    ),
+    (
+        "check-theorem --r 23,29 --graph graphs/path3.json --seed 1",
+        0,
+        "89c5ee91e90fcedc11592c92fd117405d72a7a9613f5a6508526c7f6d8cac1d0",
+    ),
+    (
+        "check-theorem --r 2..8 --graph graphs/hopf.json --colors all --format csv",
+        0,
+        "768747897bf1faaaa1580c86e308f0249f489399672ff6d2219a39e1782a3c3d",
+    ),
+    (
+        "sweep --r 2..3 --graph graphs/star3.json --seed 7",
+        0,
+        "87ea6230e1f3a422cde2b9a35ec84ce75c29667c6074e7991dc43fead6838c8a",
     ),
 ]
 
